@@ -23,7 +23,6 @@ import time
 from repro.analysis.tables import banner, format_table
 from repro.core.reduction import reduce_to_roots
 from repro.io.eventlog import events_from_recorded, interleave_by_commit
-from repro.io.text_format import dumps
 from repro.stream import IncrementalChecker, StreamAssembler
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import stack_topology
@@ -87,30 +86,6 @@ def _baseline_pass(events):
     return rejected_at, extrapolated, len(costs)
 
 
-def _assembly_pass(events, incremental):
-    """Assembly cost alone, isolated from the reduction: time every
-    per-commit (re)build of the committed system, incremental
-    (persistent builder, O(activated declarations)) or full (replay
-    every staged declaration, O(total)).  Returns
-    ``(seconds, commits, final_recorded)``."""
-    assembler = StreamAssembler()
-    total = 0.0
-    commits = 0
-    final = None
-    for event in events:
-        if assembler.apply(event) is None:
-            continue
-        commits += 1
-        start = time.perf_counter()
-        final = (
-            assembler.build_incremental()
-            if incremental
-            else assembler.build()
-        )
-        total += time.perf_counter() - start
-    return total, commits, final
-
-
 def test_bench_st1_streaming(benchmark, emit):
     depths = (2, 3, 4)
     loads = {depth: _workload(depth) for depth in depths}
@@ -120,13 +95,11 @@ def test_bench_st1_streaming(benchmark, emit):
     )
 
     rows = []
-    assembly_rows = []
     data = {
         "roots": ROOTS,
         "seed": SEED,
         "sample_every": SAMPLE_EVERY,
         "depths": {},
-        "assembly": {},
     }
     for depth in depths:
         recorded, events = loads[depth]
@@ -178,40 +151,6 @@ def test_bench_st1_streaming(benchmark, emit):
             "rejected_at_event": verdict.rejected_at_event,
         }
 
-        # the assembly series: per-commit system construction alone,
-        # persistent builder vs replay-everything
-        inc_asm_s, commits, inc_final = min(
-            (_assembly_pass(events, incremental=True) for _ in range(3)),
-            key=lambda r: r[0],
-        )
-        full_asm_s, _, full_final = min(
-            (_assembly_pass(events, incremental=False) for _ in range(3)),
-            key=lambda r: r[0],
-        )
-        # the two assembly paths produce byte-identical systems
-        assert dumps(inc_final) == dumps(full_final)
-        asm_speedup = full_asm_s / inc_asm_s
-        if depth >= 3:
-            assert inc_asm_s < full_asm_s, (
-                f"depth {depth}: incremental assembly {inc_asm_s:.4f}s "
-                f"not faster than full replay {full_asm_s:.4f}s"
-            )
-        assembly_rows.append(
-            [
-                f"stack depth {depth}",
-                commits,
-                f"{1e3 * inc_asm_s / commits:.2f}",
-                f"{1e3 * full_asm_s / commits:.2f}",
-                f"{asm_speedup:.1f}x",
-            ]
-        )
-        data["assembly"][str(depth)] = {
-            "commits": commits,
-            "incremental_s": inc_asm_s,
-            "full_replay_s": full_asm_s,
-            "speedup": asm_speedup,
-        }
-
     table = format_table(
         [
             "configuration",
@@ -224,27 +163,12 @@ def test_bench_st1_streaming(benchmark, emit):
         ],
         rows,
     )
-    assembly_table = format_table(
-        [
-            "configuration",
-            "commits",
-            "ms/commit incremental",
-            "ms/commit full replay",
-            "speedup",
-        ],
-        assembly_rows,
-    )
     emit(
         "ST1",
         banner("ST1: streaming checker vs re-check-from-scratch")
         + "\n"
         + table
         + "\nsame verdict at the same event; from-scratch cost extrapolated"
-        + f"\nfrom {SAMPLE_EVERY}-event samples; amortized win at depth >= 3."
-        + "\n\n"
-        + banner("ST1b: per-commit assembly, persistent builder vs replay")
-        + "\n"
-        + assembly_table
-        + "\nbyte-identical assembled systems; builder win at depth >= 3.",
+        + f"\nfrom {SAMPLE_EVERY}-event samples; amortized win at depth >= 3.",
         data=data,
     )

@@ -2,7 +2,7 @@
 
 Randomized fork executions over several branch counts; the FCC verdict
 (Def. 24: coordinator CC + joint branch-order acyclicity) must agree
-with Comp-C on every instance.  The benchmark times one ensemble pass.
+with Comp-C on every Def.-23 fork instance.  The benchmark times one ensemble pass.
 """
 
 from repro.analysis.tables import banner, format_table
@@ -19,7 +19,10 @@ def run_fork3():
 
 def test_bench_t3_fork(benchmark, emit):
     benchmark.pedantic(run_fork3, rounds=2, iterations=1)
-    rows = theorem3_rows(branch_counts=(2, 3, 5), trials=60, seed=0)
+    # Def. 23.3 keeps only forks whose caller declares no conflict
+    # across branches: about a third of the generated fork topologies
+    # (fewer with more branches), hence the larger draw.
+    rows = theorem3_rows(branch_counts=(2, 3, 5), trials=240, seed=0)
 
     for row in rows:
         assert row.disagreements == 0, row

@@ -160,6 +160,20 @@ def decode_value(value: Any) -> Any:
         fields = {
             name: decode_value(v) for name, v in value["fields"].items()
         }
+        specs = [spec for spec in dataclasses.fields(cls) if spec.init]
+        required = {
+            spec.name
+            for spec in specs
+            if spec.default is dataclasses.MISSING
+            and spec.default_factory is dataclasses.MISSING
+        }
+        extra = sorted(set(fields) - {spec.name for spec in specs})
+        missing = sorted(required - set(fields))
+        if extra or missing:
+            raise CheckpointError(
+                f"checkpoint value of type {value['type']!r} does not match "
+                f"the class: extra fields {extra}, missing fields {missing}"
+            )
         return cls(**fields)
     raise CheckpointError(f"unknown checkpoint value kind {kind!r}")
 

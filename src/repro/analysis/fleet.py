@@ -60,12 +60,13 @@ resume`` with the usual byte-identity guarantee.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from multiprocessing import Pipe, Process
+from multiprocessing import Pipe, Process, get_start_method
 from multiprocessing.connection import Connection, wait as _connection_wait
 from typing import (
     Any,
@@ -216,10 +217,17 @@ def _fleet_worker_main(
     capture: bool,
     supervisor: Optional[BatchSupervisor],
     heartbeat_interval: float,
+    inherited: Sequence[Connection],
 ) -> None:
     """Worker loop: receive shard assignments, run their tasks under
     the usual per-task supervision, stream results back, heartbeat
     from a daemon thread while computing.
+
+    A worker must not outlive its coordinator.  ``inherited`` are the
+    coordinator's pipe ends a forked child holds copies of; while any
+    copy is open, a dead coordinator's pipe never reports EOF, so they
+    are closed first.  The receive loop also polls and exits once the
+    worker has been reparented (the coordinator died).
 
     The heartbeat thread only proves the *interpreter* is alive and
     scheduling threads; a worker stuck in a non-GIL-releasing C call
@@ -230,6 +238,9 @@ def _fleet_worker_main(
 
     from repro.analysis.batch import _run_guarded
 
+    for end in inherited:
+        end.close()
+    coordinator = os.getppid()
     send_lock = threading.Lock()
     active_shard: List[Optional[int]] = [None]
     stop = threading.Event()
@@ -254,6 +265,10 @@ def _fleet_worker_main(
     heartbeat.start()
     try:
         while True:
+            if not conn.poll(heartbeat_interval):
+                if os.getppid() != coordinator:
+                    break
+                continue
             message = conn.recv()
             if not isinstance(message, tuple) or not message:
                 continue
@@ -424,6 +439,10 @@ class FleetCoordinator:
         name = f"w{self._incarnations}"
         self._incarnations += 1
         parent_conn, child_conn = Pipe()
+        inherited: List[Connection] = []
+        if get_start_method() == "fork":
+            inherited = [parent_conn]
+            inherited.extend(h.conn for h in self._workers.values())
         process = Process(
             target=_fleet_worker_main,
             args=(
@@ -432,6 +451,7 @@ class FleetCoordinator:
                 self._capture,
                 self._supervisor,
                 self._config.heartbeat_interval,
+                inherited,
             ),
             name=f"fleet-{name}",
             daemon=True,

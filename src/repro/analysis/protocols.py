@@ -240,7 +240,6 @@ def chaos_run(
     retry_policy: Union[str, RetryPolicy] = "exponential",
     max_attempts: int = 10,
     horizon: float = 120.0,
-    static_precheck: bool = False,
     **plan_kw,
 ) -> ChaosRun:
     """One seeded chaos run of ``protocol`` under a random fault plan,
@@ -293,18 +292,7 @@ def chaos_run(
         from repro.lint import lint_system
 
         system = result.assembled.recorded.system
-        if static_precheck:
-            # Two-sided static pre-screen: certified systems skip the
-            # reduction outright, refuted ones are rejected from the
-            # replay-validated witness — verdicts are identical either
-            # way (the sweep in tests/lint/test_safety.py).
-            from repro.core.reduction import reduce_to_roots
-
-            comp_c = reduce_to_roots(
-                system, static_precheck=True
-            ).succeeded
-        else:
-            comp_c = is_composite_correct(system)
+        comp_c = is_composite_correct(system)
         lint_report = lint_system(system)
         lint_codes = lint_report.collector.counts()
         if lint_report.safety is not None:

@@ -10,7 +10,7 @@ be constructively certified in both directions (Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.batch import run_batch
 from repro.core.certificates import validate_failure_certificate
@@ -88,11 +88,17 @@ def _ensemble(
     ]
 
 
-def agreement_task(task: Tuple) -> Tuple[bool, bool]:
-    """Batch worker: one agreement trial.  Returns (agrees, comp_c)."""
+def agreement_task(task: Tuple) -> Optional[Tuple[bool, bool]]:
+    """Batch worker: one agreement trial.  Returns (agrees, comp_c), or
+    ``None`` when the generated system is outside the criterion's
+    domain — e.g. a fork topology whose caller declared a conflict
+    across branches, which Def. 23.3 excludes."""
     spec, config, criterion = task
     recorded = generate(spec, config)
-    special = criterion(recorded.system)
+    try:
+        special = criterion(recorded.system)
+    except ValueError:
+        return None
     comp = is_composite_correct(recorded.system)
     return special == comp, comp
 
@@ -111,7 +117,8 @@ def agreement_experiment(
     """Comp-C vs one special-case criterion on one configuration.
 
     ``criterion`` must be a module-level function (``is_scc`` etc.) so
-    the trials can be shipped to batch workers when ``workers > 1``."""
+    the trials can be shipped to batch workers when ``workers > 1``.
+    Generated systems outside the criterion's domain are not trials."""
     configs = _ensemble_configs(
         trials=trials, conflict_rates=conflict_rates, roots=roots, seed=seed
     )
@@ -120,6 +127,7 @@ def agreement_experiment(
         agreement_task,
         workers=workers,
     )
+    results = [result for result in results if result is not None]
     agreements = accepted = 0
     for agrees, comp in results:
         if agrees:

@@ -174,18 +174,6 @@ def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_static_precheck_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--static-precheck",
-        action="store_true",
-        help="consult the two-sided static analyzer first and skip the "
-        "reduction when the system is provably Comp-C (certified) or "
-        "provably rejected (refuted, replay-validated witness) -- "
-        "identical verdicts either way; recorded as a skipped profile "
-        "level",
-    )
-
-
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology",
@@ -202,16 +190,14 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 def cmd_check(args: argparse.Namespace) -> int:
     recorded = load(args.file)
-    report = check_composite_correctness(
-        recorded.system, static_precheck=args.static_precheck
-    )
+    report = check_composite_correctness(recorded.system)
     print(report.narrative())
     if args.profile:
         print()
         print(banner("reduction profile"))
         rows = [
             [
-                f"{p.level} (skipped)" if p.skipped else p.level,
+                p.level,
                 f"{p.seconds * 1000:.2f}",
                 p.closure_calls,
                 p.closure_rows,
@@ -353,22 +339,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     report = None
     if result.assembled is not None:
-        report = check_composite_correctness(
-            result.assembled.recorded.system,
-            static_precheck=args.static_precheck,
-        )
-        if report.reduction.skipped_by_precheck:
-            result.metrics.static_precheck_skips += 1
-        if report.reduction.skipped_by_refutation:
-            result.metrics.static_refute_skips += 1
+        report = check_composite_correctness(result.assembled.recorded.system)
     rows = [[k, v] for k, v in result.metrics.summary().items()]
     print(format_table(["metric", "value"], rows))
     if report is not None:
         verdict = "Comp-C" if report.correct else "NOT Comp-C"
-        if report.reduction.skipped_by_precheck:
-            verdict += " (statically certified, reduction skipped)"
-        elif report.reduction.skipped_by_refutation:
-            verdict += " (statically refuted, reduction skipped)"
         print(f"committed execution: {verdict}")
         if args.output:
             save(result.assembled.recorded, args.output)
@@ -398,7 +373,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         clients=args.clients,
         transactions_per_client=args.transactions,
         retry_policy=args.retry_policy,
-        static_precheck=args.static_precheck,
     )
     points = grid.points
     print(
@@ -894,7 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-level reduction profile (wall time, "
         "closure calls, bitset rows touched)",
     )
-    _add_static_precheck_option(p)
     _add_telemetry_option(p)
     p.set_defaults(func=cmd_check)
 
@@ -967,7 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", type=int, default=4)
     p.add_argument("--skew", type=float, default=0.8)
     p.add_argument("-o", "--output")
-    _add_static_precheck_option(p)
     _add_telemetry_option(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -1030,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort the whole grid on the first cell that exhausts its "
         "attempts, instead of quarantining it and finishing the rest",
     )
-    _add_static_precheck_option(p)
     _add_workers_option(p)
     _add_fleet_options(p)
     _add_telemetry_option(p)

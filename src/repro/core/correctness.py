@@ -67,16 +67,8 @@ class CorrectnessReport:
 def check_composite_correctness(
     system: CompositeSystem,
     options: ObservedOrderOptions = ObservedOrderOptions(),
-    *,
-    static_precheck: bool = False,
 ) -> CorrectnessReport:
     """Decide Comp-C for a composite execution (Theorem 1).
-
-    ``static_precheck`` consults the conservative static prover first
-    (:mod:`repro.lint.safety`): a certified system is accepted without
-    running the reduction (the report then carries no serial witness —
-    the certificate in ``report.reduction.static_certificate`` is the
-    evidence instead).
 
     Examples
     --------
@@ -93,17 +85,13 @@ def check_composite_correctness(
     The classic lost-update interleaving: ``T2`` reads/writes between two
     conflicting operations of ``T1``, so ``T1`` cannot be isolated.
     """
-    reduction = reduce_to_roots(system, options, static_precheck=static_precheck)
+    reduction = reduce_to_roots(system, options)
     if reduction.succeeded:
         return CorrectnessReport(
             system=system,
             correct=True,
             reduction=reduction,
-            serial_witness=(
-                None
-                if reduction.skipped_by_precheck
-                else reduction.serial_order()
-            ),
+            serial_witness=reduction.serial_order(),
         )
     return CorrectnessReport(system=system, correct=False, reduction=reduction)
 
@@ -111,11 +99,7 @@ def check_composite_correctness(
 def is_composite_correct(
     system: CompositeSystem,
     options: ObservedOrderOptions = ObservedOrderOptions(),
-    *,
-    static_precheck: bool = False,
 ) -> bool:
     """Boolean-only convenience wrapper around
     :func:`check_composite_correctness`."""
-    return reduce_to_roots(
-        system, options, static_precheck=static_precheck
-    ).succeeded
+    return reduce_to_roots(system, options).succeeded

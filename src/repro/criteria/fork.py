@@ -3,8 +3,9 @@
 A *fork* is one caller schedule ``S_F`` whose operations are served by
 ``n`` disjoint callee schedules ``S_1 … S_n`` — the shape of a
 distributed transaction or a federated database accessed through a
-coordinator.  Operations handed to different branches are assumed to
-commute (Def. 23.3 — the branches manage disjoint data).
+coordinator.  Operations handed to different branches must commute
+(Def. 23.3 — the branches manage disjoint data): a caller that declares
+a conflict across branches does not make a fork.
 
 FCC — the caller conflict consistent and the branch orders jointly
 acyclic — characterizes Comp-C on forks (Theorem 3, validated by the T3
@@ -26,7 +27,10 @@ def fork_parts(
 
     Structure: exactly two levels; a single top schedule invoking every
     bottom schedule; every bottom transaction invoked by the top
-    (``O_{S_F} = ∪ T_{S_i}``); bottom schedules host only leaves.
+    (``O_{S_F} = ∪ T_{S_i}``); bottom schedules host only leaves.  And
+    Def. 23.3: operations served by different branches commute, so a
+    caller conflict between two of them makes the system no fork —
+    Theorem 3 does not apply and the reduction has to decide it.
     """
     if system.order != 2:
         return None
@@ -44,6 +48,10 @@ def fork_parts(
             return None
     if top_ops != branch_txns:
         return None
+    for pair in system.schedule(top).conflicts:
+        a, b = tuple(pair)
+        if system.schedule_of_transaction(a) != system.schedule_of_transaction(b):
+            return None
     return top, branches
 
 

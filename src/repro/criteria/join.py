@@ -54,10 +54,19 @@ def is_join(system: CompositeSystem) -> bool:
 def ghost_graph(system: CompositeSystem, bottom: str) -> Relation:
     """Def. 26: ``T 𝒢 T'`` when children ``t`` of ``T`` and ``t'`` of
     ``T'`` (transactions of *different* caller schedules) are ordered by
-    the callee's serialization order."""
+    the callee.
+
+    The callee's order here is the transitive closure of its
+    serialization and input orders — the level-1 order the Thm-4 proof
+    reads ``𝒢`` off.  A direct-pairs-only graph misses a path that
+    passes through two operations of one caller which that caller lets
+    commute: ``t9 ⇝ t8 ⇝ t4`` with ``t8``, ``t4`` of the same caller
+    still orders ``T(t9)`` before ``T(t4)``.
+    """
     schedule = system.schedule(bottom)
+    callee_order = schedule.serialization_order().union(schedule.weak_input)
     ghost = Relation()
-    for t, t2 in schedule.serialization_order().pairs():
+    for t, t2 in callee_order.transitive_closure().pairs():
         parent, parent2 = system.parent(t), system.parent(t2)
         if parent == parent2:
             continue

@@ -17,13 +17,12 @@ misreading them.
 Version history
 ---------------
 ``2``
-    adds the explicit ``skip`` field: ``null`` for a fully-reduced run,
-    ``{"direction": "precheck"}`` / ``{"direction": "refutation"}``
-    when the verdict came from the static prover alone.  Version-1
-    traces encoded precheck skips as ``"serial_witness": null`` —
-    indistinguishable from a dropped witness — and lost the
-    refutation-skip state entirely; they are still loadable, with the
-    skip inferred from the certificate.
+    added a ``skip`` field and per-level ``skipped`` profile flags for
+    verdicts that came from a static prover instead of the reduction.
+    That prover path is gone: traces are written without those keys,
+    and loading ignores them (and any ``static_certificate``), so a
+    trace that recorded a skip still loads and diffs — as a trace with
+    no fronts.  Version-1 traces load the same way.
 """
 
 from __future__ import annotations
@@ -70,27 +69,12 @@ def trace_to_dict(result: ReductionResult) -> Dict:
                 "closure_rows": p.closure_rows,
                 "nodes": p.nodes,
                 "observed_pairs": p.observed_pairs,
-                "skipped": p.skipped,
             }
             for p in result.profile
         ],
     }
-    if result.static_certificate is not None:
-        document["static_certificate"] = result.static_certificate.to_dict()
-    if result.skipped_by_precheck:
-        document["skip"] = {"direction": "precheck"}
-    elif result.skipped_by_refutation:
-        document["skip"] = {"direction": "refutation"}
-    else:
-        document["skip"] = None
     if result.succeeded:
-        if result.skipped_by_precheck:
-            # No reduction ran, so there is no witness to record; the
-            # explicit ``skip`` above is what says so (in version 1
-            # this ``null`` was the only — ambiguous — marker).
-            document["serial_witness"] = None
-        else:
-            document["serial_witness"] = result.serial_order()
+        document["serial_witness"] = result.serial_order()
     else:
         failure = result.failure
         document["failure"] = {
@@ -132,24 +116,6 @@ class ReductionTrace:
     profile: List[LevelProfile] = field(default_factory=list)
     serial_witness: Optional[List[str]] = None
     failure: Optional[Dict] = None
-    #: the static prover's report (plain dict) when the producing run
-    #: used ``static_precheck``; ``None`` otherwise
-    static_certificate: Optional[Dict] = None
-    #: ``{"direction": "precheck" | "refutation"}`` when the verdict
-    #: came from the static prover alone; ``None`` when the reduction
-    #: actually ran (inferred for version-1 traces)
-    skip: Optional[Dict] = None
-
-    @property
-    def skipped_by_precheck(self) -> bool:
-        return self.skip is not None and self.skip.get("direction") == "precheck"
-
-    @property
-    def skipped_by_refutation(self) -> bool:
-        return (
-            self.skip is not None
-            and self.skip.get("direction") == "refutation"
-        )
 
     def level(self, level: int) -> Front:
         for front in self.fronts:
@@ -177,36 +143,6 @@ def _front_from_dict(document: Dict) -> Front:
     return front
 
 
-def _infer_v1_skip(document: Dict) -> Optional[Dict]:
-    """Recover the skip state a version-1 trace only implied.
-
-    Version 1 had no ``skip`` field: a precheck-skipped accept was the
-    pattern (succeeded, no fronts, certified certificate, null
-    witness), and a refutation skip (succeeded=False, no fronts,
-    certificate verdict ``certified_unsafe``) was not distinguishable
-    from a trace whose fronts were simply stripped — we trust the
-    certificate here, which a reduction-produced rejection never
-    carries with that verdict.
-    """
-    if document.get("fronts"):
-        return None
-    certificate = document.get("static_certificate")
-    if not certificate:
-        return None
-    if (
-        document.get("succeeded")
-        and certificate.get("certified")
-        and document.get("serial_witness") is None
-    ):
-        return {"direction": "precheck"}
-    if (
-        not document.get("succeeded")
-        and certificate.get("verdict") == "certified_unsafe"
-    ):
-        return {"direction": "refutation"}
-    return None
-
-
 def trace_from_dict(document: Dict) -> ReductionTrace:
     """Rebuild a :class:`ReductionTrace` from a trace dictionary.
 
@@ -220,9 +156,6 @@ def trace_from_dict(document: Dict) -> ReductionTrace:
             f"unsupported trace version {version!r} "
             f"(this library reads versions 1..{TRACE_VERSION})"
         )
-    skip = document.get("skip")
-    if version == 1:
-        skip = _infer_v1_skip(document)
     return ReductionTrace(
         order=document["order"],
         roots=list(document["roots"]),
@@ -237,14 +170,11 @@ def trace_from_dict(document: Dict) -> ReductionTrace:
                 closure_rows=p["closure_rows"],
                 nodes=p["nodes"],
                 observed_pairs=p["observed_pairs"],
-                skipped=p.get("skipped", False),
             )
             for p in document.get("profile", [])
         ],
         serial_witness=document.get("serial_witness"),
         failure=document.get("failure"),
-        static_certificate=document.get("static_certificate"),
-        skip=skip,
     )
 
 
@@ -273,8 +203,6 @@ def diff_traces(a: ReductionTrace, b: ReductionTrace) -> List[str]:
     out: List[str] = []
     if a.succeeded != b.succeeded:
         out.append(f"verdict: {a.succeeded} vs {b.succeeded}")
-    if a.skip != b.skip:
-        out.append(f"skip: {a.skip} vs {b.skip}")
     if a.serial_witness != b.serial_witness:
         out.append(
             f"serial witness: {a.serial_witness} vs {b.serial_witness}"

@@ -79,9 +79,8 @@ class SafetyVerdict(enum.Enum):
 
     ``CERTIFIED_SAFE`` and ``CERTIFIED_UNSAFE`` are both *proofs* —
     safe by the projection/orientation argument, unsafe by an actual
-    replayed rejection — so the precheck may skip the reduction in
-    either direction.  ``UNKNOWN`` means the analysis proved nothing
-    and the reduction must run.
+    replayed rejection — so either agrees with the reduction's
+    verdict.  ``UNKNOWN`` means the analysis proved nothing.
     """
 
     CERTIFIED_SAFE = "certified_safe"

@@ -5,8 +5,7 @@ watches an execution *as it happens*:
 
 - :mod:`repro.stream.assembler` folds the typed event log of
   :mod:`repro.io.eventlog` into the committed composite system after
-  every commit — incrementally, through a persistent builder that
-  pays per commit for the declarations the commit activated;
+  every commit, replaying the activated declarations in log order;
 - :mod:`repro.stream.checker` maintains the level-0 observed order
   incrementally across commits and re-runs the reduction with the
   maintained front injected, emitting a live verdict that flips to

@@ -5,53 +5,23 @@ The assembler is the state machine between the wire format
 under their roots, tracks root lifecycle (begin / commit / abort), and
 materializes the committed composite system on demand.
 
-Two build paths share one activation rule:
-
-:meth:`StreamAssembler.build`
-    replays every activated declaration — in original arrival order —
-    through a fresh :class:`~repro.core.builder.SystemBuilder`.
-    Replaying in arrival order is what makes the streaming path
-    byte-compatible with the batch path: the builder interns
-    schedules, transactions and operations in call order, so a log
-    produced by :func:`repro.io.eventlog.events_from_recorded`
-    reassembles into a system whose element orders (and hence every
-    packed-bitset ``Relation``, witness, and telemetry byte
-    downstream) are identical to the original's.  ``finalize`` uses
-    this path, so the certified verdict stays byte-pinned.
-
-:meth:`StreamAssembler.build_incremental`
-    maintains one *persistent* builder across commits and only feeds
-    it the declarations each commit newly activated, making
-    per-commit assembly cost O(changes) instead of O(all
-    declarations).  The result is byte-identical to a full rebuild
-    because a :class:`~repro.core.schedule.Schedule` interns its
-    relation carriers up front from transaction order — pair *sets*
-    are order-insensitive — so only the per-schedule transaction
-    application order matters, and that is guarded: a transaction
-    activating *out of declaration order* within its schedule (a
-    later-staged transaction committing first) triggers one full
-    rebuild of the persistent builder, after which incremental
-    appends resume.  Logs laid out by
-    :func:`~repro.io.eventlog.events_from_recorded` (and its
-    :func:`~repro.io.eventlog.interleave_by_commit` live re-layout)
-    activate in declaration order per schedule, so the guard never
-    fires on them.  Temporal-derive logs always take the full
-    rebuild: later commits splice arrivals *into* earlier sequences,
-    so nothing about them is append-only.
+:meth:`StreamAssembler.build` replays every activated declaration — in
+original arrival order — through a fresh
+:class:`~repro.core.builder.SystemBuilder`.  Replaying in arrival order
+is what makes the streaming path byte-compatible with the batch path:
+the builder interns schedules, transactions and operations in call
+order, so a log produced by :func:`repro.io.eventlog.events_from_recorded`
+reassembles into a system whose element orders (and hence every
+packed-bitset ``Relation``, witness, and telemetry byte downstream) are
+identical to the original's.  The checker's per-commit recheck and
+``finalize`` both use it.
 
 Activation rule: a ``txn`` declaration folds in when its root commits;
 a ``conflict``/``order`` declaration folds in once *every* node it
 mentions belongs to a committed root.  Because declarations only ever
 activate (commits are permanent; aborts discard whole staged roots
 before they commit), the committed system grows monotonically — the
-property the checker's incremental observed order relies on, and the
-reason the persistent builder never has to *remove* anything.
-
-Declarations carry stable monotone integer ids (list positions shift
-when an abort discards a staged root; ids never do), which is what the
-snapshot layer (:mod:`repro.stream.snapshot`) records so a restored
-assembler replays the exact application order of the uninterrupted
-run.
+property the checker's incremental observed order relies on.
 """
 
 from __future__ import annotations
@@ -85,43 +55,18 @@ class _Arrival:
     mode: Optional[str]
 
 
-@dataclass(frozen=True)
-class _Decl:
-    """One staged declaration with its stable id."""
-
-    ident: int
-    event: Event
-
-
 class StreamAssembler:
     """Incremental event-log consumer (see module docstring)."""
 
     def __init__(self) -> None:
         self.derive: Optional[str] = None
-        self._decls: List[_Decl] = []
-        self._next_decl = 0
+        self._decls: List[Event] = []
         self._root_of: Dict[str, str] = {}
         self._committed: Set[str] = set()
         self._begun: Set[str] = set()
         self._commit_order: List[str] = []
         self._arrivals: List[_Arrival] = []
         self._ended = False
-        # -- persistent-builder state (build_incremental) --------------
-        #: the maintained builder; ``None`` means "materialize on next
-        #: use by replaying ``_applied_ids``" (fresh, restored from a
-        #: snapshot, or invalidated by an out-of-order activation)
-        self._builder: Optional[SystemBuilder] = None
-        #: decl ids in the order they were fed to the builder
-        self._applied_ids: List[int] = []
-        self._applied: Set[int] = set()
-        #: per schedule, the largest txn decl id applied — the
-        #: byte-identity guard (see module docstring)
-        self._txn_watermark: Dict[str, int] = {}
-        #: full rebuilds forced by out-of-order activation
-        self.rebuilds = 0
-        self._cache: Optional[Tuple[Tuple[int, int], RecordedExecution]] = (
-            None
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -147,10 +92,6 @@ class StreamAssembler:
         result = handler(event)
         return result  # type: ignore[no-any-return]
 
-    def _stage(self, event: Event) -> None:
-        self._decls.append(_Decl(ident=self._next_decl, event=event))
-        self._next_decl += 1
-
     def _apply_log(self, event: Event) -> None:
         if self.derive is not None:
             raise StreamError("duplicate 'log' header")
@@ -171,10 +112,10 @@ class StreamAssembler:
         self._root_of[event.txn] = event.root
         for op in event.ops:
             self._root_of[op] = event.root
-        self._stage(event)
+        self._decls.append(event)
 
     def _apply_conflict(self, event: Event) -> None:
-        self._stage(event)
+        self._decls.append(event)
 
     _apply_order = _apply_conflict
 
@@ -219,11 +160,9 @@ class StreamAssembler:
         if event.root in self._committed:
             raise StreamError(f"duplicate commit of root {event.root!r}")
         txns = tuple(
-            d.event.txn
+            d.txn
             for d in self._decls
-            if d.event.kind == "txn"
-            and d.event.root == event.root
-            and d.event.txn is not None
+            if d.kind == "txn" and d.root == event.root and d.txn is not None
         )
         if not txns:
             raise StreamError(
@@ -247,20 +186,13 @@ class StreamAssembler:
 
     # ------------------------------------------------------------------
     def _discard_root(self, root: str) -> None:
-        """Drop the root's staged attempt (abort, or begin of a retry).
-
-        Only *uncommitted* roots can reach here (commit is permanent),
-        and activation implies a committed root, so a discarded
-        declaration was never applied to the persistent builder —
-        discarding never invalidates it.
-        """
-        kept: List[_Decl] = []
+        """Drop the root's staged attempt (abort, or begin of a retry)."""
+        kept: List[Event] = []
         for decl in self._decls:
-            event = decl.event
-            if event.kind == "txn" and event.root == root:
-                if event.txn is not None:
-                    self._root_of.pop(event.txn, None)
-                for op in event.ops:
+            if decl.kind == "txn" and decl.root == root:
+                if decl.txn is not None:
+                    self._root_of.pop(decl.txn, None)
+                for op in decl.ops:
                     self._root_of.pop(op, None)
             else:
                 kept.append(decl)
@@ -314,122 +246,36 @@ class StreamAssembler:
             )
             getattr(builder, decl.order_kind)(decl.schedule, decl.a, decl.b)
 
-    def _finish_build(self, builder: SystemBuilder) -> RecordedExecution:
-        """Assemble, falling back to ``validate=False`` on prefixes.
+    def build(self) -> Optional[RecordedExecution]:
+        """The committed composite system via a replay of every
+        activated declaration in declaration order, or ``None`` before
+        the first commit.
 
         Mid-stream prefixes may violate validation-only axioms the
         finished system satisfies (e.g. an unordered conflict whose
-        ordering pair has not activated yet); those fall back exactly
-        like the simulator's recorder does.  A cyclic weak order, by
-        contrast, can never appear in a prefix of a well-formed log
-        (closed suborders of an acyclic order are acyclic), so
-        :class:`~repro.exceptions.CycleError` propagates.
+        ordering pair has not activated yet); those fall back to
+        ``validate=False`` exactly like the simulator's recorder does.
+        A cyclic weak order, by contrast, can never appear in a prefix
+        of a well-formed log (closed suborders of an acyclic order are
+        acyclic), so :class:`~repro.exceptions.CycleError` propagates.
         """
+        if not self._committed:
+            return None
+        builder = SystemBuilder()
+        for decl in self._decls:
+            if decl.kind == "txn":
+                if decl.root not in self._committed:
+                    continue
+            elif not self._active(decl):
+                continue
+            self._apply_decl(builder, decl)
+        if self.derive == "temporal":
+            self._derive_temporal(builder)
         try:
             system = builder.build()
         except (ScheduleAxiomError, ModelError):
             system = builder.build(validate=False)
         return RecordedExecution(system=system, executions=self.executions())
-
-    def build(self) -> Optional[RecordedExecution]:
-        """The committed composite system via a *full* replay of every
-        activated declaration in declaration order, or ``None`` before
-        the first commit.  The byte-pinned certification path."""
-        if not self._committed:
-            return None
-        builder = SystemBuilder()
-        for decl in self._decls:
-            event = decl.event
-            if event.kind == "txn":
-                if event.root not in self._committed:
-                    continue
-            elif not self._active(event):
-                continue
-            self._apply_decl(builder, event)
-        if self.derive == "temporal":
-            self._derive_temporal(builder)
-        return self._finish_build(builder)
-
-    # ------------------------------------------------------------------
-    def _reset_builder(self) -> None:
-        self._builder = None
-        self._applied_ids = []
-        self._applied = set()
-        self._txn_watermark = {}
-        self._cache = None
-
-    def _materialize_builder(self) -> SystemBuilder:
-        """The persistent builder, replaying the recorded application
-        order when it is not live (fresh assembler, snapshot restore,
-        or a just-invalidated out-of-order rebuild)."""
-        if self._builder is not None:
-            return self._builder
-        builder = SystemBuilder()
-        if self._applied_ids:
-            by_id = {d.ident: d for d in self._decls}
-            for ident in self._applied_ids:
-                event = by_id[ident].event
-                self._apply_decl(builder, event)
-                if event.kind == "txn":
-                    assert event.schedule is not None
-                    previous = self._txn_watermark.get(event.schedule, -1)
-                    self._txn_watermark[event.schedule] = max(
-                        previous, ident
-                    )
-        self._builder = builder
-        return builder
-
-    def build_incremental(self) -> Optional[RecordedExecution]:
-        """The committed composite system via the persistent builder:
-        per-commit cost proportional to the declarations the commit
-        activated, byte-identical to :meth:`build` (see module
-        docstring for why, and for the out-of-order guard)."""
-        if not self._committed:
-            return None
-        if self.derive == "temporal":
-            return self.build()
-        for _attempt in range(2):
-            builder = self._materialize_builder()
-            fresh: List[_Decl] = []
-            out_of_order = False
-            for decl in self._decls:
-                if decl.ident in self._applied:
-                    continue
-                event = decl.event
-                if event.kind == "txn":
-                    if event.root not in self._committed:
-                        continue
-                    assert event.schedule is not None
-                    if decl.ident < self._txn_watermark.get(
-                        event.schedule, -1
-                    ):
-                        out_of_order = True
-                        break
-                elif not self._active(event):
-                    continue
-                fresh.append(decl)
-            if not out_of_order:
-                break
-            # A later-staged transaction committed before an
-            # earlier-staged one of the same schedule: appending would
-            # intern it out of declaration order and break byte
-            # identity with the full rebuild.  Pay one full replay.
-            self._reset_builder()
-            self.rebuilds += 1
-        for decl in fresh:
-            event = decl.event
-            self._apply_decl(builder, event)
-            self._applied.add(decl.ident)
-            self._applied_ids.append(decl.ident)
-            if event.kind == "txn":
-                assert event.schedule is not None
-                self._txn_watermark[event.schedule] = decl.ident
-        key = (len(self._applied_ids), len(self._commit_order))
-        if self._cache is not None and self._cache[0] == key:
-            return self._cache[1]
-        recorded = self._finish_build(builder)
-        self._cache = (key, recorded)
-        return recorded
 
     # ------------------------------------------------------------------
     def _derive_temporal(self, builder: SystemBuilder) -> None:
@@ -457,27 +303,18 @@ class StreamAssembler:
 
     def _parent(self, op: str) -> Optional[str]:
         for decl in self._decls:
-            if decl.event.kind == "txn" and op in decl.event.ops:
-                return decl.event.txn
+            if decl.kind == "txn" and op in decl.ops:
+                return decl.txn
         return None
 
     # ------------------------------------------------------------------
     # snapshot support (driven by repro.stream.snapshot)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
-        """The assembler's full state as a JSON-shaped document.
-
-        ``applied`` records the persistent builder's application order
-        by decl id — a restored assembler replays it lazily, so its
-        builder (and every byte downstream) matches the uninterrupted
-        run's.
-        """
+        """The assembler's full state as a JSON-shaped document."""
         return {
             "derive": self.derive,
-            "next_decl": self._next_decl,
-            "decls": [
-                [d.ident, event_to_dict(d.event)] for d in self._decls
-            ],
+            "decls": [event_to_dict(d) for d in self._decls],
             "root_of": dict(self._root_of),
             "committed": sorted(self._committed),
             "begun": sorted(self._begun),
@@ -487,20 +324,18 @@ class StreamAssembler:
                 for a in self._arrivals
             ],
             "ended": self._ended,
-            "applied": list(self._applied_ids),
-            "rebuilds": self.rebuilds,
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Restore :meth:`snapshot_state` output into this (fresh)
-        assembler.  The persistent builder is rebuilt lazily on the
-        first :meth:`build_incremental` after restore."""
+        assembler.  Older snapshots stored each declaration as an
+        ``[id, event]`` pair plus ``next_decl``/``applied``/``rebuilds``
+        keys for a persistent builder; the ids and keys are ignored."""
         derive = state["derive"]
         self.derive = None if derive is None else str(derive)
-        self._next_decl = int(state["next_decl"])
         self._decls = [
-            _Decl(ident=int(ident), event=event_from_dict(doc))
-            for ident, doc in state["decls"]
+            event_from_dict(doc[1] if isinstance(doc, list) else doc)
+            for doc in state["decls"]
         ]
         self._root_of = {
             str(k): str(v) for k, v in state["root_of"].items()
@@ -519,9 +354,3 @@ class StreamAssembler:
             for schedule, root, op, item, mode in state["arrivals"]
         ]
         self._ended = bool(state["ended"])
-        self._applied_ids = [int(i) for i in state["applied"]]
-        self._applied = set(self._applied_ids)
-        self.rebuilds = int(state["rebuilds"])
-        self._builder = None
-        self._txn_watermark = {}
-        self._cache = None

@@ -18,12 +18,10 @@ it into :meth:`~repro.core.reduction.ReductionEngine.run` via
 ``level0=`` instead of re-closing the leaf order from scratch on every
 commit.  Higher levels re-run per commit — they are small (node counts
 shrink as the reduction climbs) and their carried-closure path is
-already incremental within a run.  Per-commit *assembly* is
-incremental too: ``_recheck`` builds through the assembler's
-persistent :class:`~repro.core.builder.SystemBuilder`
-(:meth:`~repro.stream.assembler.StreamAssembler.build_incremental`),
-so a commit pays for the declarations it activated, not for the whole
-log so far.
+already incremental within a run.  Per-commit *assembly* is not:
+``_recheck`` rebuilds the committed system with
+:meth:`~repro.stream.assembler.StreamAssembler.build`, the same
+byte-pinned path ``finalize`` uses.
 
 The checker is also *resumable*: :meth:`IncrementalChecker.snapshot_state`
 / :meth:`IncrementalChecker.restore_state` round-trip its entire state
@@ -223,11 +221,7 @@ class IncrementalChecker:
 
     # ------------------------------------------------------------------
     def _recheck(self, span: Span) -> None:
-        # Per-commit assembly goes through the persistent builder —
-        # O(declarations the commit activated), byte-identical to a
-        # full rebuild (the assembler guards the one order that
-        # matters).  ``finalize`` still certifies over a full replay.
-        recorded = self.assembler.build_incremental()
+        recorded = self.assembler.build()
         assert recorded is not None  # a commit just landed
         system = recorded.system
         new_leaves = [

@@ -5,8 +5,7 @@ complete resumable state of a ``composite-tx watch``: the
 :class:`~repro.stream.checker.IncrementalChecker` (closed level-0
 observed order, seeded pairs, sticky verdict and witness, batched
 counters), its :class:`~repro.stream.assembler.StreamAssembler`
-(staged declarations with stable ids, root lifecycle, arrival log,
-persistent-builder application order), and the
+(staged declarations, root lifecycle, arrival log), and the
 :class:`~repro.stream.tail.EventLogTail` position (byte offset and
 line number).  State serializes through the typed checkpoint codec
 (:mod:`repro.analysis.checkpoint`) — the packed-bitset relations are
@@ -42,7 +41,7 @@ import os
 from typing import Any, Dict, Optional, Union
 
 from repro.analysis.checkpoint import decode_value, encode_value
-from repro.exceptions import SnapshotError
+from repro.exceptions import CheckpointError, SnapshotError
 from repro.io.eventlog import log_prefix_digest
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 from repro.obs import atomic_write_text
@@ -289,13 +288,15 @@ def restore_checker(
     watch command runs), then overwritten field-for-field by
     :meth:`~repro.stream.checker.IncrementalChecker.restore_state`.
     """
-    state = decode_value(document["state"])
-    if not isinstance(state, dict):
-        raise _corrupt("<snapshot>", "snapshot state is not a mapping")
     checker = IncrementalChecker(telemetry=telemetry)
     try:
+        state = decode_value(document["state"])
+        if not isinstance(state, dict):
+            raise ValueError("snapshot state is not a mapping")
         checker.restore_state(state)
-    except (KeyError, TypeError, ValueError, AssertionError) as err:
+    except (
+        CheckpointError, KeyError, TypeError, ValueError, AssertionError
+    ) as err:
         raise _corrupt(
             "<snapshot>", f"snapshot state does not restore ({err})"
         ) from err

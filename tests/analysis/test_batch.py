@@ -122,18 +122,12 @@ class TestMergeMetrics:
     def test_every_metrics_field_has_a_merge_rule(self):
         """Regression for the dropped-counter bug: every Metrics
         dataclass field must be merged or explicitly exempted, so a
-        newly added counter cannot silently vanish from sharded reports
-        (the fate of ``static_precheck_skips`` before MERGE_RULES)."""
+        newly added counter cannot silently vanish from sharded reports."""
         names = {spec.name for spec in dataclasses.fields(Metrics)}
         covered = set(MERGE_RULES) | set(MERGE_EXEMPT_FIELDS)
         assert names <= covered, f"unmerged fields: {sorted(names - covered)}"
         # and no stale rules for fields that no longer exist
         assert set(MERGE_RULES) <= names
-
-    def test_static_precheck_skips_survive_merge(self):
-        a = Metrics(static_precheck_skips=3)
-        b = Metrics(static_precheck_skips=4)
-        assert merge_metrics([a, b]).static_precheck_skips == 7
 
     def test_merged_availability_is_mean_of_equal_horizon_parts(self):
         """Regression for the skewed-availability bug: summing downtime

@@ -78,6 +78,27 @@ class TestValueCodec:
         with pytest.raises(CheckpointError, match="cannot checkpoint"):
             encode_value(object())
 
+    def test_dataclass_field_mismatch_is_a_checkpoint_error(self):
+        """A record written by a build whose dataclass had other fields
+        fails with a CheckpointError naming the type and the fields,
+        not a raw TypeError from the constructor."""
+        from repro.simulator.metrics import Metrics
+
+        document = encode_value(Metrics())
+        document["fields"]["retired_counter"] = 0
+        with pytest.raises(CheckpointError, match="Metrics") as err:
+            decode_value(document)
+        assert "extra fields ['retired_counter']" in str(err.value)
+        document = encode_value(Metrics())
+        del document["fields"]["commits"]  # has a default: still fine
+        assert decode_value(document) == Metrics()
+        run = encode_value(
+            ChaosRun(1, 0, 0.0, 0.0, 1.0, 0, {}, {}, True, True)
+        )
+        del run["fields"]["commits"]
+        with pytest.raises(CheckpointError, match=r"missing fields \['commits'\]"):
+            decode_value(run)
+
     def test_reserved_key_collision_uses_tagged_form(self):
         tricky = {"__kind__": "not-a-tag", "x": 1}
         assert decode_value(encode_value(tricky)) == tricky

@@ -445,6 +445,29 @@ def _run_cli(args, cwd, timeout=240):
     )
 
 
+def _stat(pid):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``, or ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and (_stat(entry) or ("", 0))[1] == pid
+    ]
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 class TestFleetCLI:
     def test_sigkilled_coordinator_resumes_byte_identical(self, tmp_path):
         """Kill the whole fleet COORDINATOR mid-grid; `composite-tx
@@ -504,6 +527,40 @@ class TestFleetCLI:
         ours = canonical_dumps(read_records(str(tmp_path / "out.jsonl")))
         theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
         assert ours == theirs
+
+    def test_sigkilled_coordinator_leaves_no_worker_behind(self, tmp_path):
+        """Fleet workers of a SIGKILLed coordinator exit on their own
+        (reparented workers are reaped by init, so a zombie counts as
+        gone)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        victim = subprocess.Popen(
+            [sys.executable, "-m", "repro", *CHAOS_ARGS, *FLEET_ARGS],
+            cwd=str(tmp_path),
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            deadline = time.time() + 60
+            while time.time() < deadline and victim.poll() is None:
+                workers = _children(victim.pid)
+                if len(workers) >= 2:
+                    break
+                time.sleep(0.01)
+            victim.kill()
+        finally:
+            victim.wait(timeout=60)
+        if len(workers) < 2:
+            pytest.skip("the grid finished before both workers started")
+        deadline = time.time() + 10
+        while time.time() < deadline and any(map(_alive, workers)):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "fleet workers outlived their coordinator"
 
     def test_fleet_run_matches_serial_run(self, tmp_path):
         serial = _run_cli(

@@ -38,8 +38,10 @@ class TestApplicability:
         assert {"scc", "fcc", "jcc"} <= set(names)
 
     def test_fork(self):
-        rec = make(fork_topology(2))
-        assert "fcc" in applicable_criteria(rec.system)
+        # seed 1 draws no caller conflict across branches (Def. 23.3);
+        # seed 0 draws three and is no fork
+        assert "fcc" in applicable_criteria(make(fork_topology(2), seed=1).system)
+        assert "fcc" not in applicable_criteria(make(fork_topology(2)).system)
 
     def test_join(self):
         rec = make(join_topology(2))

@@ -63,9 +63,14 @@ class TestSCC:
         pytest.fail("no non-SCC stack found in 30 seeds")
 
 
+#: the first seed whose fork3 caller declares no conflict across
+#: branches (Def. 23.3) under ``make``'s defaults
+FORK3_SEED = 7
+
+
 class TestForkRecognition:
     def test_generated_forks_recognized(self):
-        rec = make(fork_topology(3))
+        rec = make(fork_topology(3), seed=FORK3_SEED)
         assert is_fork(rec.system)
         top, branches = fork_parts(rec.system)
         assert top == "F"
@@ -81,11 +86,11 @@ class TestForkRecognition:
             is_fcc(rec.system)
 
     def test_serial_fork_is_fcc(self):
-        rec = make(fork_topology(3), layout="serial")
+        rec = make(fork_topology(3), seed=FORK3_SEED, layout="serial")
         assert is_fcc(rec.system)
 
     def test_branch_order_union_collects_all_branches(self):
-        rec = make(fork_topology(3), layout="serial")
+        rec = make(fork_topology(3), seed=FORK3_SEED, layout="serial")
         _top, branches = fork_parts(rec.system)
         union = branch_order_union(rec.system, branches)
         per_branch = sum(

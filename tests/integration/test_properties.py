@@ -7,12 +7,12 @@ Comp-C, and the special-case theorems hold on hypothesis-chosen
 instances (independent seeds from the fixed ensembles in
 ``tests/criteria/test_theorems.py``)."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.correctness import is_composite_correct
 from repro.core.reduction import reduce_to_roots
-from repro.criteria.fork import is_fcc
+from repro.criteria.fork import is_fcc, is_fork
 from repro.criteria.join import is_jcc
 from repro.criteria.stack import is_scc
 from repro.io import dumps, loads
@@ -134,6 +134,8 @@ def test_theorem3_on_hypothesis_instances(seed, cp):
         fork_topology(3),
         WorkloadConfig(seed=seed, roots=3, conflict_probability=cp),
     )
+    # Def. 23.3: a caller conflict across branches makes it no fork
+    assume(is_fork(rec.system))
     assert is_fcc(rec.system) == is_composite_correct(rec.system)
 
 

@@ -1,6 +1,7 @@
 """Tests for the reduction-trace exporter."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,24 +148,16 @@ class TestCliTrace:
 
 
 # ----------------------------------------------------------------------
-# version 2: explicit skip provenance (both static-skip directions)
+# traces that recorded a static-prover skip (fixture documents)
 # ----------------------------------------------------------------------
-def _lost_update_system():
-    from repro.core.builder import SystemBuilder
+LEGACY = Path(__file__).resolve().parents[1] / "fixtures" / "legacy"
 
-    b = SystemBuilder()
-    b.schedule("S1")
-    b.transaction("T1", "S1", ["a", "b"])
-    b.transaction("T2", "S1", ["c"])
-    b.conflict("S1", "a", "c")
-    b.conflict("S1", "c", "b")
-    b.executed("S1", ["a", "c", "b"])
-    return b.build()
+
+def _legacy(name):
+    return LEGACY / f"trace_{name}_skip.json"
 
 
 def _certified_system():
-    from pathlib import Path
-
     from repro.io import load
 
     return load(
@@ -176,64 +169,51 @@ def _certified_system():
 
 
 class TestSkipProvenance:
+    """Version-1 and version-2 traces whose verdict came from the
+    retired static precheck — a skipped accept (``precheck``) or a
+    replay-validated reject (``refutation``), with no fronts — still
+    load and diff; the loader ignores their ``skip``, per-level
+    ``skipped`` and ``static_certificate`` keys."""
+
     def test_plain_run_has_null_skip(self):
         doc = trace_to_dict(reduce_to_roots(figure1_system()))
         assert doc["version"] == 2
-        assert doc["skip"] is None
-        trace = trace_from_dict(doc)
-        assert not trace.skipped_by_precheck
-        assert not trace.skipped_by_refutation
+        assert doc.get("skip") is None
+        assert "static_certificate" not in doc
+        assert all("skipped" not in p for p in doc["profile"])
 
     def test_precheck_skip_round_trips(self):
-        """A precheck-skipped accept is no longer ambiguous: v1 wrote
-        only ``"serial_witness": null`` (indistinguishable from a
-        dropped witness); v2 records the direction explicitly."""
-        result = reduce_to_roots(_certified_system(), static_precheck=True)
-        assert result.skipped_by_precheck
-        trace = loads_trace(dumps_trace(result))
+        assert json.loads(_legacy("v2_precheck").read_text())["skip"] == {
+            "direction": "precheck"
+        }
+        trace = load_trace(_legacy("v2_precheck"))
         assert trace.succeeded
+        assert trace.fronts == []
         assert trace.serial_witness is None
-        assert trace.skip == {"direction": "precheck"}
-        assert trace.skipped_by_precheck
-        assert not trace.skipped_by_refutation
+        assert [p.level for p in trace.profile] == [0]
 
     def test_refutation_skip_round_trips(self):
-        """The PR-8 refute-skip state survives the round trip: v1
-        dropped it entirely."""
-        result = reduce_to_roots(_lost_update_system(), static_precheck=True)
-        assert result.skipped_by_refutation
-        trace = loads_trace(dumps_trace(result))
+        trace = load_trace(_legacy("v2_refutation"))
         assert not trace.succeeded
-        assert trace.failure is not None
-        assert trace.skip == {"direction": "refutation"}
-        assert trace.skipped_by_refutation
-        assert not trace.skipped_by_precheck
-        # the witness provenance rides on the certificate
-        assert trace.static_certificate["verdict"] == "certified_unsafe"
+        assert trace.fronts == []
+        assert trace.failure["stage"] == "calculation"
 
-    @pytest.mark.parametrize("certified", [True, False])
-    def test_v1_trace_still_loads_with_inferred_skip(self, certified):
-        system = _certified_system() if certified else _lost_update_system()
-        result = reduce_to_roots(system, static_precheck=True)
-        doc = trace_to_dict(result)
-        doc["version"] = 1
-        del doc["skip"]  # v1 documents have no skip field
-        trace = trace_from_dict(doc)
-        direction = (
-            "precheck" if result.skipped_by_precheck else "refutation"
-        )
-        assert trace.skip == {"direction": direction}
+    @pytest.mark.parametrize("direction", ["precheck", "refutation"])
+    def test_v1_skip_trace_still_loads(self, direction):
+        v1 = load_trace(_legacy(f"v1_{direction}"))
+        v2 = load_trace(_legacy(f"v2_{direction}"))
+        assert diff_traces(v1, v2) == []
 
     def test_v1_full_run_infers_no_skip(self):
-        doc = trace_to_dict(reduce_to_roots(figure1_system()))
+        result = reduce_to_roots(figure1_system())
+        doc = trace_to_dict(result)
         doc["version"] = 1
-        del doc["skip"]
-        assert trace_from_dict(doc).skip is None
+        v2 = loads_trace(dumps_trace(result))
+        assert diff_traces(trace_from_dict(doc), v2) == []
 
     def test_diff_reports_skip_difference(self):
-        system = _certified_system()
-        full = loads_trace(dumps_trace(reduce_to_roots(system)))
-        skipped = loads_trace(
-            dumps_trace(reduce_to_roots(system, static_precheck=True))
-        )
-        assert any("skip" in line for line in diff_traces(full, skipped))
+        full = loads_trace(dumps_trace(reduce_to_roots(_certified_system())))
+        skipped = load_trace(_legacy("v2_precheck"))
+        differences = diff_traces(full, skipped)
+        assert any("serial witness" in line for line in differences)
+        assert any("present only in first" in line for line in differences)

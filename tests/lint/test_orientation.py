@@ -111,8 +111,6 @@ def test_input_diamond_certified_by_tier2_not_forest():
     assert cyclic and all(w.orientable is False for w in cyclic)
     # and the certificate is truthful
     assert reduce_to_roots(system).succeeded
-    prechecked = reduce_to_roots(system, static_precheck=True)
-    assert prechecked.succeeded and prechecked.skipped_by_precheck
 
 
 def test_oriented_conflict_cycle_is_not_tier2_certified():
@@ -159,8 +157,7 @@ def test_tier2_certifies_strictly_more_than_forest():
     """Over a 150-system corpus: the orientation tier certifies a
     strict superset of what the forest test certifies — systems whose
     multigraph *has* cycles, every one of them unorientable — and
-    every tier-2 certificate is corroborated by a successful reduction
-    (and honored by the precheck skip)."""
+    every tier-2 certificate is corroborated by a successful reduction."""
     forest = 0
     tier2 = 0
     for seed in range(150):
@@ -176,7 +173,5 @@ def test_tier2_certifies_strictly_more_than_forest():
         assert report.tier == "orientation"
         assert any(not w.forest for w in report.witnesses)
         assert reduce_to_roots(system).succeeded, seed
-        prechecked = reduce_to_roots(system, static_precheck=True)
-        assert prechecked.succeeded and prechecked.skipped_by_precheck
     assert forest > 0  # the baseline tier is alive on this corpus...
     assert tier2 > 0  # ...and tier 2 certifies strictly beyond it

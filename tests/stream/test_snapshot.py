@@ -240,6 +240,21 @@ class TestTrust:
             verify_snapshot(document, str(log))
         assert err.value.diagnostic.code == "CTX501"
 
+    def test_undecodable_state_is_ctx503(self, tmp_path):
+        """A state value the codec cannot decode (here a dataclass
+        record with a field the class lacks) is a corrupt snapshot."""
+        from repro.analysis.checkpoint import encode_value
+        from repro.simulator.metrics import Metrics
+
+        snap, _, _ = self._snapshot(tmp_path)
+        document = read_snapshot(str(snap))
+        stray = encode_value(Metrics())
+        stray["fields"]["retired_counter"] = 0
+        document["state"]["kind_counts"] = stray
+        with pytest.raises(SnapshotError, match="retired_counter") as err:
+            restore_checker(document)
+        assert err.value.diagnostic.code == "CTX503"
+
     def test_matching_log_verifies_silently(self, tmp_path):
         snap, log, _ = self._snapshot(tmp_path)
         verify_snapshot(read_snapshot(str(snap)), str(log))
@@ -266,3 +281,35 @@ class TestWriterCadence:
     def test_zero_cadence_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="cadence"):
             SnapshotWriter(str(tmp_path / "s.json"), every=0)
+
+
+class TestLegacySnapshot:
+    """A snapshot written before the assembler lost its persistent
+    builder: declarations stored as ``[id, event]`` pairs plus
+    ``next_decl``/``applied``/``rebuilds`` keys.  It still restores,
+    and the resumed watch certifies ``check``'s narrative."""
+
+    def test_resumes_to_checks_narrative(self):
+        from pathlib import Path
+
+        from repro.core.correctness import check_composite_correctness
+        from repro.io import load
+
+        fixtures = Path(__file__).resolve().parents[1] / "fixtures" / "legacy"
+        log = str(fixtures / "tree2x2_seed2.jsonl")
+        document = read_snapshot(str(fixtures / "tree2x2_seed2.snapshot.json"))
+        legacy = document["state"]["assembler"]
+        assert legacy["applied"] and "rebuilds" in legacy
+        verify_snapshot(document, log)
+        checker = restore_checker(document)
+        tail = restore_tail(document, log)
+        suffix = tail.poll()
+        assert any(tailed.event.kind == "commit" for tailed in suffix)
+        for tailed in suffix:
+            checker.ingest(tailed.event)
+        result = checker.finalize()
+        expected = check_composite_correctness(
+            load(str(fixtures / "tree2x2_seed2.json")).system
+        )
+        assert expected.correct and not result.verdict.rejected
+        assert result.reduction.narrative() == expected.reduction.narrative()
