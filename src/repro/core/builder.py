@@ -30,12 +30,27 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro.core.orders import Relation
 from repro.core.schedule import Schedule
 from repro.core.system import CompositeSystem
 from repro.core.transaction import Transaction
 from repro.exceptions import ModelError
+
+#: One schedule's order collections, keyed ``weak_output``,
+#: ``strong_output``, ``weak_input`` and ``strong_input``.  Each is a
+#: dict used as an insertion-ordered set of pairs.
+_Orders = Dict[str, Dict[Tuple[str, str], None]]
 
 
 def _execution_pairs(
@@ -191,9 +206,33 @@ class SystemBuilder:
         order between two operations that are transactions of the same
         callee schedule is added to that callee's input orders.
         """
+        resolved = self._resolve()
+        if propagate_orders:
+            self._propagate(resolved)
+
+        schedules = []
+        for name, draft in self._drafts.items():
+            orders = resolved[name]
+            schedules.append(
+                Schedule(
+                    name,
+                    list(draft.transactions.values()),
+                    conflicts=draft.conflicts,
+                    weak_input=orders["weak_input"],
+                    strong_input=orders["strong_input"],
+                    weak_output=orders["weak_output"],
+                    strong_output=orders["strong_output"],
+                    validate=validate,
+                )
+            )
+        return CompositeSystem(schedules, validate=validate)
+
+    def _resolve(self) -> Dict[str, _Orders]:
+        """Every schedule's declared orders plus the axiom-2 and axiom-3
+        pairs its drafts imply, before Def. 4.7 propagation."""
         if not self._drafts:
             raise ModelError("no schedules declared")
-        resolved: Dict[str, Dict[str, List[Tuple[str, str]]]] = {}
+        resolved: Dict[str, _Orders] = {}
         for name, draft in self._drafts.items():
             weak_out = list(draft.weak_output)
             strong_out = list(draft.strong_output)
@@ -215,35 +254,14 @@ class SystemBuilder:
                     for b in ops2:
                         strong_out.append((a, b))
             resolved[name] = {
-                "weak_output": weak_out,
-                "strong_output": strong_out,
-                "weak_input": list(draft.weak_input),
-                "strong_input": list(draft.strong_input),
+                "weak_output": dict.fromkeys(weak_out),
+                "strong_output": dict.fromkeys(strong_out),
+                "weak_input": dict.fromkeys(draft.weak_input),
+                "strong_input": dict.fromkeys(draft.strong_input),
             }
+        return resolved
 
-        if propagate_orders:
-            self._propagate(resolved)
-
-        schedules = []
-        for name, draft in self._drafts.items():
-            orders = resolved[name]
-            schedules.append(
-                Schedule(
-                    name,
-                    list(draft.transactions.values()),
-                    conflicts=draft.conflicts,
-                    weak_input=orders["weak_input"],
-                    strong_input=orders["strong_input"],
-                    weak_output=orders["weak_output"],
-                    strong_output=orders["strong_output"],
-                    validate=validate,
-                )
-            )
-        return CompositeSystem(schedules, validate=validate)
-
-    def _propagate(
-        self, resolved: Dict[str, Dict[str, List[Tuple[str, str]]]]
-    ) -> None:
+    def _propagate(self, resolved: Dict[str, _Orders]) -> None:
         """Def. 4.7: caller output orders become callee input orders.
 
         Validation checks the *transitively closed* output relations, so
@@ -252,46 +270,87 @@ class SystemBuilder:
         transitively relevant across levels — a propagated input order
         can force new strong outputs via axiom 3, which may propagate
         further down — so we iterate to a fixed point.
-        """
-        from repro.core.orders import Relation
 
-        changed = True
+        Weak outputs never grow here, so one closure per schedule settles
+        the weak inputs.  Strong orders run on a worklist of dirty
+        schedules: a pass re-expands axiom 3 only where strong inputs
+        grew, and re-closes and re-propagates only the strong outputs
+        that expansion grew.  Every order collection is a dict used as an
+        insertion-ordered set, so a pass costs one membership probe per
+        closed pair of the dirty schedules' outputs.
+        """
+        drafts = self._drafts
+        for name in drafts:
+            self._propagate_closed(name, resolved, "weak_output", "weak_input")
+            self._propagate_closed(
+                name, resolved, "strong_output", "strong_input"
+            )
+        dirty = set(drafts)
         passes = 0
-        while changed:
+        while dirty:
             passes += 1
-            if passes > 2 * len(self._drafts) + 4:  # pragma: no cover
+            if passes > 2 * len(drafts) + 4:  # pragma: no cover
                 raise ModelError("order propagation did not converge")
-            changed = False
-            for name in self._drafts:
-                orders = resolved[name]
-                for kind_out, kind_in in (
-                    ("weak_output", "weak_input"),
-                    ("strong_output", "strong_input"),
-                ):
-                    closed = Relation(orders[kind_out]).transitive_closure()
-                    for a, b in closed.pairs():
-                        sa = self._txn_schedule.get(a)
-                        sb = self._txn_schedule.get(b)
-                        if sa is None or sa != sb or sa == name:
-                            continue
-                        target = resolved[sa][kind_in]
-                        if (a, b) not in target:
-                            target.append((a, b))
-                            changed = True
-            # Re-expand axiom 3 after new strong inputs arrived.
-            for name, draft in self._drafts.items():
-                orders = resolved[name]
-                closed_in = Relation(
-                    orders["strong_input"]
-                ).transitive_closure()
-                for t1, t2 in closed_in.pairs():
-                    ops1 = draft.transactions[t1].operations
-                    ops2 = draft.transactions[t2].operations
-                    for a in ops1:
-                        for b in ops2:
-                            if (a, b) not in orders["strong_output"]:
-                                orders["strong_output"].append((a, b))
-                                changed = True
+            grown = [
+                name
+                for name in drafts
+                if name in dirty and self._expand_strong_input(name, resolved)
+            ]
+            dirty = set()
+            for name in grown:
+                dirty.update(
+                    self._propagate_closed(
+                        name, resolved, "strong_output", "strong_input"
+                    )
+                )
+
+    def _propagate_closed(
+        self,
+        name: str,
+        resolved: Dict[str, _Orders],
+        kind_out: str,
+        kind_in: str,
+    ) -> Set[str]:
+        """Add every closed ``kind_out`` pair of ``name`` between two
+        transactions of one callee to that callee's ``kind_in``; returns
+        the callees whose inputs grew."""
+        txn_schedule = self._txn_schedule
+        closed = Relation(resolved[name][kind_out]).transitive_closure()
+        # Per callee, the bitmap of the closure's elements that are its
+        # transactions: a row AND finds every pair the callee must see.
+        callee_masks: Dict[str, int] = {}
+        for j, element in enumerate(closed.elements):
+            callee = txn_schedule.get(element)
+            if callee is not None and callee != name:
+                callee_masks[callee] = callee_masks.get(callee, 0) | (1 << j)
+        grown: Set[str] = set()
+        for callee, mask in callee_masks.items():
+            target = resolved[callee][kind_in]
+            for a in closed.unpack(mask):
+                for b in closed.unpack(closed.row_bits(a) & mask):
+                    if (a, b) not in target:
+                        target[(a, b)] = None
+                        grown.add(callee)
+        return grown
+
+    def _expand_strong_input(
+        self, name: str, resolved: Dict[str, _Orders]
+    ) -> bool:
+        """Axiom 3 over the closed strong input of ``name``; returns
+        whether its strong output grew."""
+        transactions = self._drafts[name].transactions
+        orders = resolved[name]
+        strong_out = orders["strong_output"]
+        closed_in = Relation(orders["strong_input"]).transitive_closure()
+        grew = False
+        for t1, t2 in closed_in.pairs():
+            ops2 = transactions[t2].operations
+            for a in transactions[t1].operations:
+                for b in ops2:
+                    if (a, b) not in strong_out:
+                        strong_out[(a, b)] = None
+                        grew = True
+        return grew
 
     # ------------------------------------------------------------------
     # declarative construction
@@ -329,22 +388,30 @@ class SystemBuilder:
                     )
                 else:
                     builder.transaction(tname, sname, list(tdef))
-            for a, b in body.get("conflicts", []):
-                builder.conflict(sname, a, b)
+            draft = builder._drafts[sname]
+            draft.conflicts.extend(
+                (a, b) for a, b in body.get("conflicts", [])
+            )
             if "executed" in body:
                 builder.executed(
                     sname,
                     list(body["executed"]),
                     mode=body.get("executed_mode", "conflicts"),
                 )
-            for a, b in body.get("weak_output", []):
-                builder.weak_output(sname, a, b)
-            for a, b in body.get("strong_output", []):
-                builder.strong_output(sname, a, b)
-            for a, b in body.get("weak_input", []):
-                builder.weak_input(sname, a, b)
-            for a, b in body.get("strong_input", []):
-                builder.strong_input(sname, a, b)
+            # Order lists can hold every closed pair of a schedule: extend
+            # the draft directly rather than one fluent call per pair.
+            draft.weak_output.extend(
+                (a, b) for a, b in body.get("weak_output", [])
+            )
+            draft.strong_output.extend(
+                (a, b) for a, b in body.get("strong_output", [])
+            )
+            draft.weak_input.extend(
+                (a, b) for a, b in body.get("weak_input", [])
+            )
+            draft.strong_input.extend(
+                (a, b) for a, b in body.get("strong_input", [])
+            )
         return builder
 
 

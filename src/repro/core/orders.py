@@ -151,8 +151,7 @@ class Relation:
         self._size = 0
         for element in elements:
             self.add_element(element)
-        for a, b in pairs:
-            self.add(a, b)
+        self.add_all(pairs)
 
     # ------------------------------------------------------------------
     # internal plumbing
@@ -216,9 +215,40 @@ class Relation:
             self._size += 1
 
     def add_all(self, pairs: Iterable[Pair]) -> None:
-        """Add every pair in ``pairs``."""
-        for a, b in pairs:
-            self.add(a, b)
+        """Add every pair in ``pairs``.
+
+        The loop body is :meth:`add` inlined over local bindings: model
+        loading sends hundreds of thousands of pairs through here."""
+        index = self._index
+        nodes = self._nodes
+        rows = self._rows
+        cols = self._cols
+        added = 0
+        try:
+            for a, b in pairs:
+                ia = index.get(a)
+                if ia is None:
+                    ia = index[a] = len(nodes)
+                    nodes.append(a)
+                    rows.append(0)
+                    if cols is not None:
+                        cols.append(0)
+                ib = index.get(b)
+                if ib is None:
+                    ib = index[b] = len(nodes)
+                    nodes.append(b)
+                    rows.append(0)
+                    if cols is not None:
+                        cols.append(0)
+                bit = 1 << ib
+                row = rows[ia]
+                if not row & bit:
+                    rows[ia] = row | bit
+                    if cols is not None:
+                        cols[ib] |= 1 << ia
+                    added += 1
+        finally:
+            self._size += added
 
     def discard(self, a: Element, b: Element) -> None:
         """Remove the pair ``(a, b)`` if present (carrier set unchanged)."""

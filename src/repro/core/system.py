@@ -149,21 +149,45 @@ class CompositeSystem:
         """Yield every Def. 4.7 violation as a structured (unraised)
         :class:`OrderPropagationError`: a caller's output orders between
         two operations that are transactions of the *same* callee must
-        appear as the callee's input orders."""
+        appear as the callee's input orders.
+
+        Each operation's closed output row is masked to the operations
+        that are transactions of its own callee, so only the pairs Def.
+        4.7 binds are probed.  Violations come in the caller's
+        operation order, ``(a, b)`` by ``a`` then ``b``, weak before
+        strong.
+        """
+        schedule_of_txn = self._schedule_of_txn
         for sname, schedule in self._schedules.items():
-            ops = schedule.operations
-            for a in ops:
-                sa = self._schedule_of_txn.get(a)
+            weak_out = schedule.weak_output
+            strong_out = schedule.strong_output
+            # Per callee, the bitmap of its transactions among this
+            # schedule's operations.  Schedule interns its operations
+            # into the output relations before any pair, so bit order is
+            # operation order.  The strong output is contained in the
+            # weak one (Schedule seeds ``≺`` with ``≪``), so the weak
+            # row's hits cover both kinds.
+            callee_masks: Dict[str, int] = {}
+            for j, op in enumerate(weak_out.elements):
+                callee_name = schedule_of_txn.get(op)
+                if callee_name is not None:
+                    callee_masks[callee_name] = callee_masks.get(
+                        callee_name, 0
+                    ) | (1 << j)
+            for a in schedule.operations:
+                sa = schedule_of_txn.get(a)
                 if sa is None:
                     continue
-                for b in ops:
-                    if a == b or self._schedule_of_txn.get(b) != sa:
-                        continue
-                    callee = self._schedules[sa]
-                    if (a, b) in schedule.weak_output and (
-                        a,
-                        b,
-                    ) not in callee.weak_input:
+                hits = (
+                    weak_out.row_bits(a)
+                    & callee_masks[sa]
+                    & ~weak_out.mask_of((a,))
+                )
+                if not hits:
+                    continue
+                callee = self._schedules[sa]
+                for b in weak_out.unpack(hits):
+                    if (a, b) not in callee.weak_input:
                         yield OrderPropagationError(
                             f"Def. 4.7 violated: {a} < {b} in the output of "
                             f"{sname!r} but {a} -> {b} missing from the "
@@ -173,7 +197,7 @@ class CompositeSystem:
                             pair=(a, b),
                             kind="weak",
                         )
-                    if (a, b) in schedule.strong_output and (
+                    if (a, b) in strong_out and (
                         a,
                         b,
                     ) not in callee.strong_input:
