@@ -87,7 +87,7 @@ def test_bench_p2_scaling(benchmark, emit):
     # --- optional: serial-vs-parallel sweep -----------------------------
     # Only the determinism contract is hard-asserted; the recorded
     # speedup exceeds 1 only when the machine actually has the cores
-    # (a 1-CPU container measures pure pool overhead, ~0.93x).
+    # (a 1-CPU container measures only the fleet's overhead).
     sweep = None
     if WORKERS > 1:
         sweep = sweep_speedup(

@@ -1,10 +1,12 @@
-"""Parallel batch runner for (config x seed) grids.
+"""Batch runner for (config x seed) grids.
 
 Every sweep in the analysis layer — chaos grids, theorem-agreement
-ensembles, hierarchy tables, ablations — is embarrassingly parallel:
-independent simulator or checker runs whose results are folded into a
-summary row.  :func:`run_batch` shards such a grid across a
-``ProcessPoolExecutor`` with chunked dispatch.
+ensembles, hierarchy tables, ablations, lint over many files — is
+embarrassingly parallel: independent simulator or checker runs whose
+results are folded into a summary row.  :func:`run_batch_report` runs
+such a grid serially in-process (``workers <= 1``) or across a fleet of
+``workers`` lease-supervised worker processes
+(:mod:`repro.analysis.fleet`, the one parallel executor).
 
 Determinism contract
 --------------------
@@ -12,9 +14,9 @@ Determinism contract
 order the workers finish in.  Callers therefore merge results exactly
 as the serial loop would have (same iteration order, hence the same
 floating-point accumulation order), which makes ``--workers N`` output
-bit-identical to ``--workers 1``.  The serial path (``workers <= 1``)
-calls the very same worker functions in-process, so it *is* the old
-code path, not an approximation of it.
+bit-identical to ``--workers 1``.  The serial path calls the very same
+worker functions in-process, so it *is* the reference, not an
+approximation of it.
 
 The contract extends to telemetry: when the ambient
 :func:`repro.obs.current` sink is active (or one is passed explicitly),
@@ -22,7 +24,8 @@ every task runs under its own ``taskNNNN`` stream named by submission
 index, serial or sharded alike, and the collected events merge into one
 canonical ``(stream, seq)`` order — so a ``--workers 4`` telemetry file
 is a stable merge of the per-worker streams, identical (modulo wall
-durations) to the serial file.
+durations and the environment-only ``fleet`` stream) to the serial
+file.
 
 And it extends to recovery: because merging is a pure function of the
 submission-ordered result list, a run resumed from a checkpoint (see
@@ -32,36 +35,33 @@ byte-identical metrics and canonical telemetry.
 
 Resilience
 ----------
-:func:`run_batch_report` is the supervised entry point (see
-:mod:`repro.analysis.supervise`): per-task wall-clock timeouts enforced
-inside the worker, per-task retry with seeded jittered backoff,
-parent-side hung-worker detection with pool replacement, and — unless
-``fail_fast`` — quarantine of tasks that exhaust their attempts, so one
-poisoned grid cell no longer destroys every completed result.
+A :class:`~repro.analysis.supervise.BatchSupervisor` adds per-task
+wall-clock timeouts enforced inside the worker, per-task retry with
+seeded jittered backoff, and — unless ``fail_fast`` — quarantine of
+tasks that exhaust their attempts, so one poisoned grid cell no longer
+destroys every completed result.  In a parallel batch the fleet adds
+worker-level recovery: a crashed worker is replaced, a hung one (an
+expired lease) is killed and replaced, and a shard that fails on
+``max_shard_retries`` distinct workers is quarantined.
 
 Failure reporting: a raising worker surfaces as
 :class:`repro.exceptions.BatchTaskError` carrying the failing task and
-its submission index — ``ProcessPoolExecutor.map`` alone loses which
-grid cell died.  The error is raised for the *earliest* failing task in
-submission order, another determinism guarantee, and carries the
-completed partial results (``completed``/``missing``) so callers can
-salvage the rest of the grid.
+its submission index.  The error is raised for the *earliest* failing
+task in submission order, another determinism guarantee, and carries
+the completed partial results (``completed``/``missing``) so callers
+can salvage the rest of the grid.
 
 Workers are module-level functions taking one picklable task tuple —
-a requirement of the ``fork``/``spawn`` process pool, and the reason
-the per-run halves of :mod:`repro.analysis.protocols` et al. are
+fleet workers receive their tasks over pipes, which is why the
+per-run halves of :mod:`repro.analysis.protocols` et al. are
 top-level functions rather than closures.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -76,7 +76,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.analysis.fleet import FleetConfig, FleetReport
+    from repro.analysis.fleet import FleetReport
 
 from repro.analysis.checkpoint import (
     CheckpointSection,
@@ -84,9 +84,7 @@ from repro.analysis.checkpoint import (
     batch_fingerprint,
 )
 from repro.analysis.supervise import (
-    REASON_CRASH,
     REASON_EXCEPTION,
-    REASON_HUNG,
     REASON_TIMEOUT,
     BatchSupervisor,
     QuarantinedTask,
@@ -166,9 +164,9 @@ def _run_guarded(
 ) -> _TaskOutcome:
     """Run one task under supervision, catching failures.
 
-    Module-level (with :func:`functools.partial`) so the pool can
-    pickle it.  Without a supervisor this is exactly one unguarded
-    attempt — the historical behaviour.  With one, the attempt runs
+    The serial path calls this in-process; fleet workers call it for
+    every task of their shard.  Without a supervisor this is exactly
+    one unguarded attempt.  With one, the attempt runs
     under the per-task wall-clock alarm and is retried up to
     ``max_attempts`` times with delays drawn from the retry policy and
     the per-task seeded jitter stream (see the seeding contract in
@@ -218,7 +216,7 @@ class BatchReport:
     successes; ``quarantine`` describes every task the supervisor gave
     up on; ``fleet`` is the coordination report when the batch ran
     under a :mod:`repro.analysis.fleet` coordinator (``None`` for the
-    serial and process-pool paths).
+    serial path).
     """
 
     results: List[Any]
@@ -234,143 +232,28 @@ class BatchReport:
         )
 
 
-def _parallel_outcomes(
-    worker: Callable[[T], R],
-    capture: bool,
-    supervisor: Optional[BatchSupervisor],
-    todo: Sequence[Tuple[int, T]],
-    max_workers: int,
-    section: Optional[CheckpointSection],
-) -> Dict[int, _TaskOutcome]:
-    """Submit-based parallel execution with hung-worker replacement.
-
-    Tasks are submitted individually; when no future completes within
-    the supervisor's hang deadline, the still-running tasks are
-    declared hung (their workers are beyond the reach of the in-worker
-    alarm), the wedged pool is abandoned, and a replacement pool takes
-    over the queued work.  A worker process that *dies* (OOM kill,
-    segfault) breaks the whole pool; the batch recovers the same way —
-    the task observed failing is recorded, everything else resubmits
-    to a fresh pool.
-    """
-    hang = supervisor.effective_hang_timeout() if supervisor else None
-    outcomes: Dict[int, _TaskOutcome] = {}
-    guarded = partial(_run_guarded, worker, capture, supervisor)
-    pool = ProcessPoolExecutor(max_workers=min(max_workers, len(todo)))
-    pending: Dict[Any, Tuple[int, T]] = {
-        pool.submit(guarded, (index, task)): (index, task)
-        for index, task in todo
-    }
-
-    def _replace_pool(requeue: List[Tuple[int, T]]) -> None:
-        nonlocal pool, pending
-        pool.shutdown(wait=False)
-        # best-effort kill of the abandoned workers: a hung process
-        # would otherwise linger (and block interpreter exit) until its
-        # task finished on its own
-        for process in dict(getattr(pool, "_processes", None) or {}).values():
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        pool = ProcessPoolExecutor(
-            max_workers=min(max_workers, max(1, len(requeue)))
-        )
-        pending = {
-            pool.submit(guarded, (index, task)): (index, task)
-            for index, task in requeue
-        }
-
-    try:
-        while pending:
-            done, not_done = wait(
-                set(pending), timeout=hang, return_when=FIRST_COMPLETED
-            )
-            if done:
-                broken: List[Tuple[int, T]] = []
-                broken_error: Optional[BaseException] = None
-                for future in done:
-                    index, task = pending.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool as err:
-                        broken.append((index, task))
-                        broken_error = err
-                        continue
-                    outcomes[index] = outcome
-                    if section is not None and outcome.error is None:
-                        section.record(index, outcome.result, outcome.events)
-                if broken:
-                    # A dead worker process (OOM kill, segfault) poisons
-                    # EVERY in-flight future with BrokenProcessPool; we
-                    # cannot tell which task actually killed it, so the
-                    # earliest broken task takes the blame (quarantined
-                    # as a crash) and everything else moves to a
-                    # replacement pool.  A genuinely poisonous task
-                    # re-breaks the next pool and is blamed eventually.
-                    broken.sort()
-                    index, task = broken[0]
-                    outcomes[index] = _TaskOutcome(
-                        index,
-                        None,
-                        [],
-                        f"worker process died: {broken_error!r}",
-                        reason=REASON_CRASH,
-                    )
-                    _replace_pool(
-                        broken[1:] + [pending.pop(f) for f in list(pending)]
-                    )
-                continue
-            # stalled: nothing completed within the hang deadline.
-            # Queued (cancellable) futures move to a fresh pool; the
-            # ones actually running are hung beyond recovery.
-            requeue: List[Tuple[int, T]] = []
-            for future in list(not_done):
-                index, task = pending.pop(future)
-                if future.cancel():
-                    requeue.append((index, task))
-                else:
-                    outcomes[index] = _TaskOutcome(
-                        index,
-                        None,
-                        [],
-                        f"worker hung: no result within {hang:g}s "
-                        "(task abandoned, worker replaced)",
-                        reason=REASON_HUNG,
-                    )
-            _replace_pool(requeue)
-    finally:
-        pool.shutdown(wait=False)
-    return outcomes
-
-
 def run_batch_report(
     tasks: Iterable[T],
     worker: Callable[[T], R],
     *,
     workers: int = 1,
-    chunksize: int = 0,
     telemetry: Optional[Telemetry] = None,
     supervisor: Optional[BatchSupervisor] = None,
-    fleet: Optional["FleetConfig"] = None,
 ) -> BatchReport:
     """Run ``worker`` over ``tasks`` under supervision; never raises
     for task failures unless fail-fast semantics apply.
 
-    ``workers <= 1`` runs serially in-process; otherwise tasks are
-    dispatched to a process pool.  Without a ``supervisor`` the
-    parallel path uses chunked ``map`` (the historical fast path) and
-    the first failing task aborts the batch.  With one, tasks are
-    individually supervised (timeout, retry, hang detection) and
-    failures are quarantined unless ``supervisor.fail_fast``.
-
-    A ``fleet`` configuration (explicit, or ambient via
-    :func:`repro.analysis.fleet.fleet_scope`) replaces the process
-    pool with the lease-based coordinator of
-    :mod:`repro.analysis.fleet`: long-lived heartbeating workers,
-    crash/hang attribution, shard quarantine after repeated worker
-    loss, duplicate-result dedup — same submission-order fold, same
-    byte-identity contract.
+    ``workers <= 1`` (or a single task) runs serially in-process;
+    otherwise the tasks are driven by a fleet of ``workers`` worker
+    processes under the lease-based coordinator of
+    :mod:`repro.analysis.fleet`: heartbeating workers, crash/hang
+    attribution, shard quarantine after repeated worker loss,
+    duplicate-result dedup — same submission-order fold, same
+    byte-identity contract.  Without a ``supervisor`` each task gets
+    one unguarded attempt and the earliest failing task is raised as
+    :class:`BatchTaskError` once the batch ends; with one, tasks are
+    individually supervised (timeout, retry) and failures are
+    quarantined unless ``supervisor.fail_fast``.
 
     When an ambient :func:`repro.analysis.checkpoint.checkpointing`
     session is active, this call claims its next checkpoint section:
@@ -386,14 +269,10 @@ def run_batch_report(
     tele = telemetry if telemetry is not None else current()
     capture = tele.enabled
     task_list = list(tasks)
-    if fleet is None:
-        from repro.analysis.fleet import ambient_fleet
-
-        fleet = ambient_fleet()
     session = ambient_session()
     section: Optional[CheckpointSection] = None
     fingerprint = ""
-    if session is not None or fleet is not None:
+    if session is not None or workers > 1:
         fingerprint = batch_fingerprint(worker, task_list)
     if session is not None:
         section = session.section(fingerprint, len(task_list))
@@ -404,51 +283,30 @@ def run_batch_report(
         list(section.quarantined) if section is not None else []
     )
     skip = set(restored) | {q.index for q in restored_quarantine}
-    with tele.span(
-        "batch.run", tasks=len(task_list), workers=workers
-    ) as span:
+    with tele.span("batch.run", tasks=len(task_list), workers=workers):
         todo = [
             (i, task) for i, task in enumerate(task_list) if i not in skip
         ]
         outcomes: Dict[int, _TaskOutcome] = {}
         fleet_report: Optional["FleetReport"] = None
-        if fleet is not None and len(todo) > 1:
-            from repro.analysis.fleet import run_fleet
-
-            span.note(fleet=fleet.workers)
-            outcomes, fleet_report = run_fleet(
-                worker,
-                todo,
-                fleet,
-                capture=capture,
-                supervisor=supervisor,
-                section=section,
-                fingerprint=fingerprint,
-                telemetry=tele,
-            )
-        elif workers <= 1 or len(todo) <= 1:
+        if workers <= 1 or len(todo) <= 1:
             for i, task in todo:
                 outcome = _run_guarded(worker, capture, supervisor, (i, task))
                 outcomes[i] = outcome
                 if section is not None and outcome.error is None:
                     section.record(i, outcome.result, outcome.events)
-        elif supervisor is None and section is None:
-            # the historical chunked-map fast path, byte for byte
-            if chunksize <= 0:
-                chunksize = max(1, math.ceil(len(todo) / (workers * 4)))
-            span.note(chunksize=chunksize)
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo))
-            ) as pool:
-                for outcome in pool.map(
-                    partial(_run_guarded, worker, capture, None),
-                    todo,
-                    chunksize=chunksize,
-                ):
-                    outcomes[outcome.index] = outcome
         else:
-            outcomes = _parallel_outcomes(
-                worker, capture, supervisor, todo, workers, section
+            from repro.analysis.fleet import run_fleet
+
+            outcomes, fleet_report = run_fleet(
+                worker,
+                todo,
+                workers,
+                capture=capture,
+                supervisor=supervisor,
+                section=section,
+                fingerprint=fingerprint,
+                telemetry=tele,
             )
 
         # fold everything back in submission order
@@ -513,7 +371,6 @@ def run_batch(
     worker: Callable[[T], R],
     *,
     workers: int = 1,
-    chunksize: int = 0,
     telemetry: Optional[Telemetry] = None,
     supervisor: Optional[BatchSupervisor] = None,
 ) -> List[R]:
@@ -532,7 +389,6 @@ def run_batch(
         tasks,
         worker,
         workers=workers,
-        chunksize=chunksize,
         telemetry=telemetry,
         supervisor=supervisor,
     ).results
@@ -619,7 +475,7 @@ class ChaosGridReport:
     (protocol, seed) cell is simply absent from its protocol's
     average — the per-point ``runs`` says how many survived);
     ``quarantine`` names every cell that did not; ``fleet`` carries
-    the coordination report when the grid ran under ``--fleet``.
+    the coordination report when the grid ran on more than one worker.
     """
 
     points: List[Any]

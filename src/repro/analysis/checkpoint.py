@@ -390,7 +390,7 @@ def checkpoint_complete(document: Dict[str, Any]) -> bool:
     task completed or quarantined) — the state an already-finished
     run's checkpoint is in.  ``composite-tx resume`` uses this to
     print "nothing to resume" and exit 0 instead of re-dispatching
-    the full recorded command (and spawning a pool) for no work.
+    the full recorded command (and spawning a fleet) for no work.
     """
     if document.get("complete") is True:
         return True

@@ -1,12 +1,15 @@
 """Fault-tolerant sharded checking fleet: lease-based coordination.
 
-:mod:`repro.analysis.batch` drives one grid through one process pool;
-this module promotes that to a *fleet*: long-lived worker processes
-driven by a :class:`FleetCoordinator` over stdlib
-:mod:`multiprocessing` pipes, designed so that **any worker can be
-SIGKILLed, hang, or return garbage at any point** and the grid still
-terminates with verdicts, metrics, and telemetry byte-identical to an
-undisturbed serial run.
+The one parallel executor: :func:`repro.analysis.batch.run_batch_report`
+with ``workers > 1`` hands its work list to :func:`run_fleet`, which
+drives ``workers`` long-lived worker processes from a
+:class:`FleetCoordinator` over stdlib :mod:`multiprocessing` pipes.  It
+is designed so that **any worker can be SIGKILLed, hang, or return
+garbage at any point** and the grid still terminates with verdicts,
+metrics, and telemetry byte-identical to an undisturbed serial run.
+The knobs (heartbeat interval, lease timeout, shard retries) are
+fields of :class:`~repro.analysis.supervise.BatchSupervisor`, the one
+supervision object of a batch.
 
 The robustness mechanisms, one per failure class:
 
@@ -49,13 +52,15 @@ task tuple, so every execution returns the same value and the same
 canonical telemetry events.  Fleet-level telemetry (lease expiries,
 worker timelines) goes to the dedicated ``fleet`` stream, which
 :func:`repro.obs.sink.canonical_dumps` projects away — so the
-canonical stream of a ``--fleet 4`` run with a SIGKILLed worker is
+canonical stream of a ``--workers 4`` run with a SIGKILLed worker is
 byte-identical to ``--workers 1``.
 
 Checkpoint integration: completed tasks are recorded into the ambient
 :class:`~repro.analysis.checkpoint.CheckpointSection` as they arrive,
 so a SIGKILLed *coordinator* resumes mid-fleet via ``composite-tx
-resume`` with the usual byte-identity guarantee.
+resume`` with the usual byte-identity guarantee.  Its workers exit on
+their own: a worker closes the coordinator's pipe ends it inherited
+and leaves once it has been reparented.
 """
 
 from __future__ import annotations
@@ -63,8 +68,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, get_start_method
 from multiprocessing.connection import Connection, wait as _connection_wait
@@ -72,7 +75,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -119,31 +121,6 @@ class FleetProtocolError(CompositeTxError):
 
 
 @dataclass
-class FleetConfig:
-    """How a fleet drives one batch.
-
-    ``workers`` is the fleet size; ``heartbeat_interval`` how often a
-    busy worker proves liveness; ``lease_timeout`` how long a shard
-    lease survives without a heartbeat before the worker is presumed
-    hung (defaults to ``max(6 * heartbeat_interval, 3.0)``);
-    ``max_shard_retries`` how many *distinct* workers may fail a shard
-    before it is quarantined; ``shard_size`` tasks per shard (0 =
-    ``ceil(tasks / (workers * 4))``, the batch layer's chunking).
-    """
-
-    workers: int = 2
-    heartbeat_interval: float = 0.5
-    lease_timeout: Optional[float] = None
-    max_shard_retries: int = 3
-    shard_size: int = 0
-
-    def effective_lease_timeout(self) -> float:
-        if self.lease_timeout is not None and self.lease_timeout > 0:
-            return self.lease_timeout
-        return max(6.0 * self.heartbeat_interval, 3.0)
-
-
-@dataclass
 class WorkerTimeline:
     """One worker incarnation's liveness record (for the profile's
     per-worker timeline table)."""
@@ -176,8 +153,19 @@ class FleetReport:
     verdicts: Dict[str, int] = field(default_factory=dict)
     timeline: List[WorkerTimeline] = field(default_factory=list)
 
+    @property
+    def disturbed(self) -> bool:
+        """Whether the fleet had to recover from anything: a shard
+        reassigned or quarantined, a worker replaced."""
+        return bool(
+            self.shards_reassigned
+            or self.shards_quarantined
+            or self.workers_replaced
+        )
+
     def render(self) -> str:
-        """Human-readable summary (the CLI prints this after a grid)."""
+        """Human-readable summary (the CLI prints it to stderr after a
+        disturbed grid)."""
         lines = [
             f"fleet: {self.workers} worker slot(s) over "
             f"{self.shards_total} shard(s): "
@@ -215,8 +203,7 @@ def _fleet_worker_main(
     conn: Connection,
     worker: Callable[[Any], Any],
     capture: bool,
-    supervisor: Optional[BatchSupervisor],
-    heartbeat_interval: float,
+    supervisor: BatchSupervisor,
     inherited: Sequence[Connection],
 ) -> None:
     """Worker loop: receive shard assignments, run their tasks under
@@ -240,6 +227,7 @@ def _fleet_worker_main(
 
     for end in inherited:
         end.close()
+    heartbeat_interval = supervisor.heartbeat_interval
     coordinator = os.getppid()
     send_lock = threading.Lock()
     active_shard: List[Optional[int]] = [None]
@@ -334,17 +322,17 @@ class _WorkerHandle:
 
 
 def partition_shards(
-    todo: Sequence[Tuple[int, Any]], workers: int, shard_size: int
+    todo: Sequence[Tuple[int, Any]], workers: int
 ) -> List[List[Tuple[int, Any]]]:
-    """Split the (index, task) work list into contiguous shards.
+    """Split the (index, task) work list into contiguous shards of
+    ``ceil(tasks / (workers * 4))`` tasks, about four per worker.
 
     Contiguity in submission order keeps a shard the same unit Biswas
     & Enea's decomposition argument treats as independently checkable,
     and makes a shard's identity stable across coordinator restarts
     (same todo list -> same shards -> same per-shard RNG streams).
     """
-    if shard_size <= 0:
-        shard_size = max(1, -(-len(todo) // (max(1, workers) * 4)))
+    shard_size = max(1, -(-len(todo) // (max(1, workers) * 4)))
     return [
         list(todo[offset:offset + shard_size])
         for offset in range(0, len(todo), shard_size)
@@ -365,7 +353,7 @@ class FleetCoordinator:
         self,
         worker: Callable[[Any], Any],
         todo: Sequence[Tuple[int, Any]],
-        config: FleetConfig,
+        workers: int,
         *,
         capture: bool = False,
         supervisor: Optional[BatchSupervisor] = None,
@@ -374,32 +362,28 @@ class FleetCoordinator:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._worker = worker
-        self._config = config
+        self._size = workers
         self._capture = capture
-        self._supervisor = supervisor
+        # the default supervisor makes one unguarded attempt per task,
+        # exactly what the serial path does without one
+        self._supervisor = (
+            supervisor if supervisor is not None else BatchSupervisor()
+        )
         self._section = section
         self._fingerprint = fingerprint
         self._clock = clock
         self._start = clock()
-        self._lease_timeout = config.effective_lease_timeout()
-        rng_source = (
-            supervisor if supervisor is not None else BatchSupervisor()
-        )
-        self._policy = rng_source.resolve_policy()
+        self._lease_timeout = self._supervisor.effective_lease_timeout()
+        self._policy = self._supervisor.resolve_policy()
         self._shards = [
             _ShardState(
                 shard_id=shard_id,
                 pairs=pairs,
-                rng=rng_source.task_rng(pairs[0][0]),
+                rng=self._supervisor.task_rng(pairs[0][0]),
             )
-            for shard_id, pairs in enumerate(
-                partition_shards(todo, config.workers, config.shard_size)
-            )
+            for shard_id, pairs in enumerate(partition_shards(todo, workers))
         ]
         self._expected: Set[int] = {i for i, _ in todo}
-        self._fail_fast = (
-            supervisor.fail_fast if supervisor is not None else False
-        )
         self._workers: Dict[str, _WorkerHandle] = {}
         self._incarnations = 0
         self._delivered: Set[int] = set()
@@ -407,7 +391,7 @@ class FleetCoordinator:
         self.outcomes: Dict[int, Any] = {}
         self.telemetry = Telemetry(stream=FLEET_STREAM, enabled=capture)
         self.report = FleetReport(
-            workers=config.workers, shards_total=len(self._shards)
+            workers=workers, shards_total=len(self._shards)
         )
 
     # ------------------------------------------------------------------
@@ -450,7 +434,6 @@ class FleetCoordinator:
                 self._worker,
                 self._capture,
                 self._supervisor,
-                self._config.heartbeat_interval,
                 inherited,
             ),
             name=f"fleet-{name}",
@@ -470,7 +453,7 @@ class FleetCoordinator:
     def _replace_workers(self) -> None:
         """Keep the fleet at strength while unfinished shards remain
         (never more workers than unfinished shards)."""
-        target = min(self._config.workers, self._unfinished_count())
+        target = min(self._size, self._unfinished_count())
         while len(self._workers) < target:
             self._spawn_worker()
 
@@ -524,7 +507,7 @@ class FleetCoordinator:
         if shard.status != SHARD_LEASED:
             return
         shard.failed_workers.add(handle.name)
-        if len(shard.failed_workers) >= self._config.max_shard_retries:
+        if len(shard.failed_workers) >= self._supervisor.max_shard_retries:
             self._quarantine_shard(shard, reason, error)
             return
         shard.status = SHARD_PENDING
@@ -602,7 +585,7 @@ class FleetCoordinator:
             )
         self.report.shards_quarantined += 1
         self.telemetry.count("fleet.shard", status="quarantined")
-        if self._fail_fast:
+        if self._supervisor.fail_fast:
             self._aborted = True
 
     def _complete_shard(
@@ -665,7 +648,7 @@ class FleetCoordinator:
                     )
         if outcome.error is None and self._section is not None:
             self._section.record(index, outcome.result, outcome.events)
-        if outcome.error is not None and self._fail_fast:
+        if outcome.error is not None and self._supervisor.fail_fast:
             self._aborted = True
         return True
 
@@ -746,8 +729,8 @@ class FleetCoordinator:
             self._fail_worker(
                 handle,
                 REASON_HUNG,
-                f"lease expired: no heartbeat within "
-                f"{self._lease_timeout:g}s",
+                f"worker hung: no heartbeat within "
+                f"{self._lease_timeout:g}s (lease expired)",
             )
 
     # ------------------------------------------------------------------
@@ -757,7 +740,7 @@ class FleetCoordinator:
         """Sleep until the next actionable instant: a lease deadline,
         a backoff-delayed shard becoming ready, or one heartbeat."""
         now = self._now()
-        horizon = now + max(0.05, self._config.heartbeat_interval)
+        horizon = now + max(0.05, self._supervisor.heartbeat_interval)
         for handle in self._workers.values():
             if handle.shard_id is not None:
                 horizon = min(horizon, handle.deadline)
@@ -781,7 +764,7 @@ class FleetCoordinator:
         the batch fold plus the :class:`FleetReport`."""
         with self.telemetry.span(
             "fleet.run",
-            workers=self._config.workers,
+            workers=self._size,
             shards=len(self._shards),
         ) as span:
             try:
@@ -840,7 +823,7 @@ class FleetCoordinator:
 def run_fleet(
     worker: Callable[[Any], Any],
     todo: Sequence[Tuple[int, Any]],
-    config: FleetConfig,
+    workers: int,
     *,
     capture: bool = False,
     supervisor: Optional[BatchSupervisor] = None,
@@ -857,7 +840,7 @@ def run_fleet(
     coordinator = FleetCoordinator(
         worker,
         todo,
-        config,
+        workers,
         capture=capture,
         supervisor=supervisor,
         section=section,
@@ -869,42 +852,12 @@ def run_fleet(
     return outcomes, report
 
 
-# ----------------------------------------------------------------------
-# the ambient fleet (how the CLI reaches every nested run_batch)
-# ----------------------------------------------------------------------
-_FLEET: ContextVar[Optional[FleetConfig]] = ContextVar(
-    "repro_fleet_config", default=None
-)
-
-
-def ambient_fleet() -> Optional[FleetConfig]:
-    """The active fleet configuration of this context, if any."""
-    return _FLEET.get()
-
-
-@contextmanager
-def fleet_scope(config: FleetConfig) -> Iterator[FleetConfig]:
-    """Make ``config`` ambient: every
-    :func:`repro.analysis.batch.run_batch_report` under the ``with``
-    block shards its grid across a fleet instead of a process pool —
-    how ``--fleet N`` reaches grids buried inside experiment code
-    without threading a parameter through every signature."""
-    token = _FLEET.set(config)
-    try:
-        yield config
-    finally:
-        _FLEET.reset(token)
-
-
 __all__ = [
     "FLEET_STREAM",
-    "FleetConfig",
     "FleetCoordinator",
     "FleetProtocolError",
     "FleetReport",
     "WorkerTimeline",
-    "ambient_fleet",
-    "fleet_scope",
     "partition_shards",
     "run_fleet",
 ]

@@ -7,7 +7,8 @@ holds the *resilience* vocabulary those executions run under:
   wall-clock timeouts, per-task retry with seeded jittered backoff
   (reusing the :mod:`repro.simulator.retry` policy vocabulary, so one
   set of policies covers simulated retries and real harness retries),
-  hung-worker detection, and the fail-fast/keep-going switch;
+  the fleet's heartbeat/lease/shard-retry knobs, and the
+  fail-fast/keep-going switch;
 * :class:`QuarantinedTask` / :class:`QuarantineReport` — the structured
   failure report a keep-going grid emits instead of aborting: task id,
   parameters, reason, and the worker traceback;
@@ -65,9 +66,9 @@ def time_limit(seconds: Optional[float]) -> Iterator[None]:
 
     Uses ``SIGALRM`` (via ``signal.setitimer``), so it only arms on
     platforms that have it *and* on the main thread — everywhere else
-    it degrades to a no-op and the parent-side hang deadline is the
-    only guard.  Worker processes of a ``ProcessPoolExecutor`` run
-    tasks on their main thread, so the guard is active in exactly the
+    it degrades to a no-op and the fleet's lease deadline is the only
+    guard.  Fleet workers run tasks on their main thread (the
+    heartbeat is a side thread), so the guard is active in exactly the
     place that matters.
 
     Contexts nest: ``setitimer`` returns the previously armed
@@ -116,10 +117,10 @@ class QuarantinedTask:
 
     ``task_repr`` is the ``repr`` of the task tuple (the parameters
     needed to reproduce the cell), ``reason`` one of
-    ``exception``/``timeout``/``hung``, ``attempts`` how many times the
-    supervisor tried, and ``error``/``traceback`` what the final
-    attempt died with (``traceback`` is empty for hung workers — a
-    SIGKILL-proof hang never reports back).
+    ``exception``/``timeout``/``hung``/``crash``, ``attempts`` how
+    many times the supervisor tried, and ``error``/``traceback`` what
+    the final attempt died with (``traceback`` is empty for hung and
+    crashed workers — they never report back).
     """
 
     index: int
@@ -214,26 +215,32 @@ class BatchSupervisor:
     """How :func:`repro.analysis.batch.run_batch_report` guards tasks.
 
     ``task_timeout`` is the per-task wall-clock budget enforced
-    *inside* the worker (SIGALRM); ``hang_timeout`` is the parent-side
-    deadline after which a worker that stopped delivering results is
-    declared hung and replaced (defaults to ``3 * task_timeout + 5``
-    when a task timeout is set, else disabled).  ``max_attempts`` is
-    the total number of tries per task; between tries the supervisor
-    sleeps ``retry_policy.delay(...)`` drawn from the per-task seeded
-    stream.  With ``fail_fast=True`` the first task that exhausts its
-    attempts aborts the whole batch with
-    :class:`~repro.exceptions.BatchTaskError` (the pre-supervision
-    behaviour); otherwise the task is quarantined and the rest of the
-    grid completes.
+    *inside* the worker (SIGALRM).  ``max_attempts`` is the total
+    number of tries per task; between tries the supervisor sleeps
+    ``retry_policy.delay(...)`` drawn from the per-task seeded stream.
+    With ``fail_fast=True`` the first task that exhausts its attempts
+    aborts the whole batch with
+    :class:`~repro.exceptions.BatchTaskError`; otherwise the task is
+    quarantined and the rest of the grid completes.
+
+    The last three knobs drive the worker fleet of a parallel batch
+    (see :mod:`repro.analysis.fleet`): ``heartbeat_interval`` is how
+    often a busy worker proves liveness, ``lease_timeout`` how long a
+    shard lease survives without a heartbeat before the worker is
+    presumed hung (defaults to ``max(6 * heartbeat_interval, 3.0)``),
+    and ``max_shard_retries`` how many *distinct* workers may fail a
+    shard before it is quarantined.
     """
 
     task_timeout: Optional[float] = None
-    hang_timeout: Optional[float] = None
     max_attempts: int = 1
     retry_policy: Union[str, RetryPolicy] = "exponential"
     retry_base: float = 0.05
     retry_seed: int = 0
     fail_fast: bool = False
+    heartbeat_interval: float = 0.5
+    lease_timeout: Optional[float] = None
+    max_shard_retries: int = 3
     #: injectable for tests; must stay a picklable module-level callable
     sleep: Callable[[float], None] = time.sleep
 
@@ -248,12 +255,7 @@ class BatchSupervisor:
         seeding contract."""
         return random.Random(self.retry_seed * _SEED_STRIDE + index)
 
-    def effective_hang_timeout(self) -> Optional[float]:
-        if self.hang_timeout is not None:
-            return self.hang_timeout if self.hang_timeout > 0 else None
-        if self.task_timeout:
-            # the in-worker alarm should fire first on every attempt;
-            # the parent deadline only catches workers the alarm cannot
-            # reach (stuck outside the interpreter)
-            return 3.0 * self.task_timeout + 5.0
-        return None
+    def effective_lease_timeout(self) -> float:
+        if self.lease_timeout is not None and self.lease_timeout > 0:
+            return self.lease_timeout
+        return max(6.0 * self.heartbeat_interval, 3.0)

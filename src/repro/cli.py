@@ -34,12 +34,12 @@ canonical telemetry are byte-identical to an uninterrupted run's.
 ``chaos`` additionally supervises its cells (``--task-timeout``,
 ``--task-retries``) and quarantines cells that keep failing instead of
 aborting the grid; ``--fail-fast`` restores the abort-everything
-behaviour.  ``--fleet N`` (on ``chaos`` and ``experiment``) replaces
-the process pool with the lease-based coordinator of
-:mod:`repro.analysis.fleet` — long-lived heartbeating workers that
-survive SIGKILL, hangs, and garbage messages with byte-identical
-output (``--heartbeat-interval``, ``--lease-timeout``,
-``--max-shard-retries`` tune it).  See docs/RESILIENCE.md.
+behaviour.  ``--workers N`` runs a grid on the lease-based fleet of
+:mod:`repro.analysis.fleet` — N heartbeating workers that survive
+SIGKILL, hangs, and garbage messages with byte-identical output
+(``chaos`` tunes it with ``--heartbeat-interval``,
+``--lease-timeout`` and ``--max-shard-retries``).  See
+docs/RESILIENCE.md.
 
 The CLI is a thin veneer over the library; every command maps onto the
 public API used by the examples and benchmarks.
@@ -88,62 +88,8 @@ def _add_workers_option(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="shard independent runs across N processes (1 = serial; "
-        "output is bit-identical either way)",
-    )
-
-
-def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=0,
-        metavar="N",
-        help="drive the grid with a fault-tolerant fleet of N "
-        "long-lived heartbeating workers instead of a process pool: "
-        "shards are leased with deadlines, crashed or hung workers "
-        "are replaced and their shards re-run, duplicate results are "
-        "deduplicated — output stays byte-identical to --workers 1 "
-        "(0 = off; see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="how often fleet workers prove liveness (default: 0.5)",
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="missed-heartbeat deadline before a fleet worker is "
-        "presumed hung and its shard reassigned (default: "
-        "max(6 x heartbeat interval, 3))",
-    )
-    parser.add_argument(
-        "--max-shard-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="distinct fleet workers a shard may fail on before it is "
-        "quarantined instead of reassigned (default: 3)",
-    )
-
-
-def _fleet_config(args: argparse.Namespace):
-    """The :class:`repro.analysis.fleet.FleetConfig` for this
-    invocation, or ``None`` when ``--fleet`` is off/absent."""
-    if getattr(args, "fleet", 0) <= 0:
-        return None
-    from repro.analysis.fleet import FleetConfig
-
-    return FleetConfig(
-        workers=args.fleet,
-        heartbeat_interval=args.heartbeat_interval,
-        lease_timeout=args.lease_timeout,
-        max_shard_retries=args.max_shard_retries,
+        help="shard independent runs across a fleet of N worker "
+        "processes (1 = serial; output is bit-identical either way)",
     )
 
 
@@ -362,6 +308,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         max_attempts=max(1, args.task_retries),
         retry_seed=args.seed,
         fail_fast=args.fail_fast,
+        heartbeat_interval=args.heartbeat_interval,
+        lease_timeout=args.lease_timeout,
+        max_shard_retries=args.max_shard_retries,
     )
     grid = chaos_grid_report(
         spec,
@@ -414,9 +363,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if grid.quarantine:
         print()
         print(grid.quarantine.render())
-    if grid.fleet is not None:
-        print()
-        print(grid.fleet.render())
+    if grid.fleet is not None and grid.fleet.disturbed:
+        # which workers failed is environment, not a result: stdout
+        # stays byte-identical to --workers 1
+        print(grid.fleet.render(), file=sys.stderr)
     if args.strict:
         for point in points:
             if point.protocol in ("cc", "s2pl") and point.comp_c_rate < 1.0:
@@ -791,7 +741,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     document = read_checkpoint(args.checkpoint)
     if checkpoint_complete(document):
         # every section is fully recorded (or the session closed
-        # cleanly): re-dispatching would spawn a pool just to restore
+        # cleanly): re-dispatching would spawn a fleet just to restore
         # everything and re-print — say so and succeed instead
         print(
             f"{args.checkpoint}: nothing to resume "
@@ -1002,8 +952,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort the whole grid on the first cell that exhausts its "
         "attempts, instead of quarantining it and finishing the rest",
     )
+    p.add_argument(
+        "--heartbeat-interval",
+        type=float,
+        default=0.5,
+        metavar="SECONDS",
+        help="how often busy --workers processes prove liveness "
+        "(default: 0.5)",
+    )
+    p.add_argument(
+        "--lease-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="missed-heartbeat deadline before a worker is presumed "
+        "hung, killed, and its shard reassigned (default: "
+        "max(6 x heartbeat interval, 3))",
+    )
+    p.add_argument(
+        "--max-shard-retries",
+        type=int,
+        default=3,
+        metavar="N",
+        help="distinct workers a shard may fail on before it is "
+        "quarantined instead of reassigned (default: 3)",
+    )
     _add_workers_option(p)
-    _add_fleet_options(p)
     _add_telemetry_option(p)
     _add_checkpoint_options(p)
     p.set_defaults(func=cmd_chaos)
@@ -1018,7 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=30)
     _add_workers_option(p)
-    _add_fleet_options(p)
     _add_telemetry_option(p)
     _add_checkpoint_options(p)
     p.set_defaults(func=cmd_experiment)
@@ -1182,28 +1155,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(raw_argv)
 
-    def invoke() -> int:
-        # --fleet N routes every batch under the command (chaos grids,
-        # experiment ensembles) through the lease-based coordinator via
-        # the ambient fleet scope — no per-experiment plumbing
-        fleet = _fleet_config(args)
-        if fleet is None:
-            return args.func(args)
-        from repro.analysis.fleet import fleet_scope
-
-        with fleet_scope(fleet):
-            return args.func(args)
-
     def dispatch() -> int:
         telemetry_out = getattr(args, "telemetry_out", None)
         if not telemetry_out:
-            return invoke()
+            return args.func(args)
         from repro.obs import Telemetry, using, write_jsonl
 
         telemetry = Telemetry(stream="main")
         with using(telemetry):
             with telemetry.span("cli.command", command=args.command):
-                code = invoke()
+                code = args.func(args)
         write_jsonl(telemetry.collect(), telemetry_out)
         print(f"telemetry written to {telemetry_out}", file=sys.stderr)
         return code

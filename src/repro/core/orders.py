@@ -54,7 +54,7 @@ Pair = Tuple[Element, Element]
 #: closure invocations; ``rows`` counts packed bitset rows (one
 #: word-packed bitmap each) actually (re)computed — the from-scratch
 #: closure recomputes every row, the incremental path touches only the
-#: rows whose reachability changed.  Per-process (each pool worker has
+#: rows whose reachability changed.  Per-process (each fleet worker has
 #: its own).
 CLOSURE_COUNTERS = {"calls": 0, "rows": 0}
 

@@ -190,10 +190,9 @@ class TelemetryError(CompositeTxError):
 class BatchTaskError(CompositeTxError):
     """A batch worker raised; carries which task died.
 
-    ``ProcessPoolExecutor.map`` re-raises worker exceptions with no
-    hint of which task produced them — for a (protocol, seed) grid that
-    loses exactly the information needed to reproduce the failure.
-    :attr:`task` is the failing task object, :attr:`index` its position
+    A bare worker exception carries no hint of which task produced it
+    — for a (protocol, seed) grid that loses exactly the information
+    needed to reproduce the failure.  :attr:`task` is the failing task object, :attr:`index` its position
     in submission order, and :attr:`worker_traceback` the formatted
     traceback captured inside the worker process (the original
     exception object itself may not survive pickling).

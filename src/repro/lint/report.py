@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -198,8 +197,8 @@ def _gather_paths(paths: Sequence[str]) -> Tuple[List[str], List[str]]:
 def _lint_file_task(
     task: Tuple[str, Optional[ObservedOrderOptions]]
 ) -> FileReport:
-    """Module-level pool target (``lint_file`` takes keyword-only
-    options, which ``ProcessPoolExecutor.map`` cannot pass)."""
+    """Module-level batch worker (``lint_file`` takes keyword-only
+    options, and batch workers take one picklable task)."""
     file, options = task
     return lint_file(file, options=options)
 
@@ -213,20 +212,16 @@ def lint_paths(
     """Lint files and directories.  Returns the result plus the list of
     paths that did not exist (a usage error, exit code 1).
 
-    ``workers > 1`` shards the files over a process pool;
-    ``executor.map`` yields results in submission order, so the
-    aggregate — and therefore the rendered report — is byte-identical
-    to a serial run.
+    The files run through :func:`repro.analysis.batch.run_batch`, so
+    ``workers > 1`` shards them over the worker fleet; results come
+    back in submission order, so the aggregate — and therefore the
+    rendered report — is byte-identical to a serial run.
     """
+    from repro.analysis.batch import run_batch
+
     files, missing = _gather_paths(paths)
-    if workers > 1 and len(files) > 1:
-        tasks = [(file, options) for file in files]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(files))
-        ) as pool:
-            reports = list(pool.map(_lint_file_task, tasks))
-        return LintResult(reports=reports), missing
-    reports = [lint_file(file, options=options) for file in files]
+    tasks = [(file, options) for file in files]
+    reports = run_batch(tasks, _lint_file_task, workers=workers)
     return LintResult(reports=reports), missing
 
 

@@ -59,11 +59,12 @@ from repro.obs.telemetry import (
 WALL_KEYS = ("dur_s",)
 
 #: span fields describing the execution *environment* rather than the
-#: computation (worker count, pool chunking, fleet size, which CLI verb
-#: drove the run); also dropped by :func:`canonical_dumps` —
-#: ``--workers 1`` and ``--workers 4`` do the same work, and ``watch``
-#: over a finished stream does the same work as ``check`` on the same
-#: execution, so the canonical stream should say so.
+#: computation (worker count, which CLI verb drove the run; ``chunksize``
+#: and ``fleet`` stay listed because older telemetry files carry them);
+#: also dropped by :func:`canonical_dumps` — ``--workers 1`` and
+#: ``--workers 4`` do the same work, and ``watch`` over a finished
+#: stream does the same work as ``check`` on the same execution, so the
+#: canonical stream should say so.
 ENV_FIELDS = ("workers", "chunksize", "fleet", "command")
 
 #: whole streams describing the execution environment: the fleet
@@ -71,7 +72,7 @@ ENV_FIELDS = ("workers", "chunksize", "fleet", "command")
 #: expiries, worker replacements, shard reassignments — all functions
 #: of real-world scheduling and injected harness faults, not of the
 #: workload).  :func:`canonical_dumps` drops these streams entirely so
-#: a ``--fleet 4`` run with a SIGKILLed worker still compares
+#: a ``--workers 4`` run with a SIGKILLed worker still compares
 #: byte-identical to ``--workers 1``.  The streaming checker's
 #: ``"watch"`` stream is environmental the same way: per-event ingest
 #: spans describe *when* events arrived, not what the execution is, so

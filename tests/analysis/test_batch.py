@@ -47,8 +47,7 @@ class TestRunBatch:
 
     def test_worker_exception_carries_task(self):
         """A raising worker surfaces as BatchTaskError naming the
-        failing task — ProcessPoolExecutor.map alone loses which cell
-        died."""
+        failing task — a bare worker exception loses which cell died."""
         with pytest.raises(BatchTaskError) as excinfo:
             run_batch([1, 2, 3], fail_on_three)
         assert excinfo.value.index == 2
@@ -69,11 +68,6 @@ class TestRunBatch:
             run_batch([3, 1, 3, 3], fail_on_three, workers=2)
         assert excinfo.value.index == 0
         assert excinfo.value.task == 3
-
-    def test_explicit_chunksize(self):
-        assert run_batch(range(10), square, workers=2, chunksize=3) == [
-            n * n for n in range(10)
-        ]
 
 
 class TestMergeMetrics:

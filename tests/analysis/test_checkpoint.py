@@ -4,6 +4,7 @@ contract (SIGKILL mid-grid, resume, compare against uninterrupted)."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ from repro.analysis.checkpoint import (
 )
 from repro.analysis.protocols import ChaosRun
 from repro.exceptions import CheckpointError
+from tests.analysis.test_fleet import _alive, _children
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -256,9 +258,21 @@ class TestKillAndResume:
                     pass
                 time.sleep(0.005)
             killed_mid_run = victim.poll() is None
+            workers = _children(victim.pid)
             victim.kill()
         finally:
             victim.wait(timeout=60)
+
+        # the SIGKILLed run's worker processes exit on their own
+        # (reparented workers are reaped by init, so a zombie counts
+        # as gone)
+        deadline = time.time() + 10
+        while time.time() < deadline and any(map(_alive, workers)):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "workers outlived the SIGKILLed chaos run"
 
         # the checkpoint on disk is complete JSON despite the SIGKILL
         document = json.loads(ck.read_text())

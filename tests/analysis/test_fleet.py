@@ -19,12 +19,9 @@ from repro.analysis.batch import _TaskOutcome, run_batch_report
 from repro.analysis.fleet import (
     MSG_DONE,
     MSG_RESULT,
-    FleetConfig,
     FleetCoordinator,
     FleetProtocolError,
     _WorkerHandle,
-    ambient_fleet,
-    fleet_scope,
     partition_shards,
 )
 from repro.analysis.supervise import (
@@ -39,7 +36,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 # ----------------------------------------------------------------------
-# module-level workers (the pool/fleet must be able to pickle them)
+# module-level workers (the fleet must be able to pickle them)
 # ----------------------------------------------------------------------
 def square(task):
     return task * task
@@ -83,19 +80,19 @@ def poison_two(task):
 class TestPartition:
     def test_contiguous_and_complete(self):
         todo = [(i, f"t{i}") for i in range(10)]
-        shards = partition_shards(todo, workers=2, shard_size=3)
+        shards = partition_shards(todo, workers=1)
         assert [len(s) for s in shards] == [3, 3, 3, 1]
         assert [pair for shard in shards for pair in shard] == todo
 
     def test_default_size_targets_four_shards_per_worker(self):
         todo = [(i, i) for i in range(32)]
-        shards = partition_shards(todo, workers=4, shard_size=0)
+        shards = partition_shards(todo, workers=4)
         assert len(shards) == 16
         assert all(len(s) == 2 for s in shards)
 
     def test_small_grids_still_shard(self):
         todo = [(0, "a"), (1, "b")]
-        assert partition_shards(todo, workers=8, shard_size=0) == [
+        assert partition_shards(todo, workers=8) == [
             [(0, "a")],
             [(1, "b")],
         ]
@@ -104,16 +101,15 @@ class TestPartition:
 # ----------------------------------------------------------------------
 # the coordinator state machine, no processes
 # ----------------------------------------------------------------------
-def _sim_coordinator(n, shard_size=2, max_shard_retries=100, **kw):
+def _sim_coordinator(n, max_shard_retries=100, **kw):
+    """A one-worker-slot coordinator over ``n`` tasks: shards hold
+    ``ceil(n / 4)`` tasks each."""
     clock = [0.0]
     coordinator = FleetCoordinator(
         square,
         [(i, i) for i in range(n)],
-        FleetConfig(
-            workers=2,
-            shard_size=shard_size,
-            max_shard_retries=max_shard_retries,
-        ),
+        1,
+        supervisor=BatchSupervisor(max_shard_retries=max_shard_retries),
         fingerprint="fp",
         clock=lambda: clock[0],
         **kw,
@@ -134,7 +130,7 @@ def _sim_worker(coordinator):
 
 class TestCoordinatorSimulated:
     def test_first_result_wins_and_duplicates_are_counted(self):
-        coordinator, _ = _sim_coordinator(4, shard_size=4)
+        coordinator, _ = _sim_coordinator(16)  # shards of 4
         handle = _sim_worker(coordinator)
         coordinator._assign_ready_shards()
         assert handle.shard_id == 0
@@ -150,7 +146,7 @@ class TestCoordinatorSimulated:
         the report exactly once — duplicates never double-count."""
         from repro.analysis.protocols import ChaosRun
 
-        coordinator, _ = _sim_coordinator(2, shard_size=2)
+        coordinator, _ = _sim_coordinator(8)  # shards of 2
         handle = _sim_worker(coordinator)
         coordinator._assign_ready_shards()
         run = ChaosRun(
@@ -173,7 +169,7 @@ class TestCoordinatorSimulated:
         assert coordinator.report.verdicts == {"certified_safe": 1}
 
     def test_stale_fingerprint_is_discarded_not_fatal(self):
-        coordinator, _ = _sim_coordinator(2, shard_size=2)
+        coordinator, _ = _sim_coordinator(8)  # shards of 2
         handle = _sim_worker(coordinator)
         coordinator._assign_ready_shards()
         stale = _TaskOutcome(0, 0, [], None)
@@ -181,7 +177,7 @@ class TestCoordinatorSimulated:
         assert 0 not in coordinator.outcomes
 
     def test_garbage_messages_raise_protocol_errors(self):
-        coordinator, _ = _sim_coordinator(2, shard_size=2)
+        coordinator, _ = _sim_coordinator(8)  # shards of 2
         handle = _sim_worker(coordinator)
         with pytest.raises(FleetProtocolError):
             coordinator._handle_message(handle, "not a tuple")
@@ -194,16 +190,14 @@ class TestCoordinatorSimulated:
             )
 
     def test_premature_done_is_ignored_until_results_arrive(self):
-        coordinator, _ = _sim_coordinator(2, shard_size=2)
+        coordinator, _ = _sim_coordinator(8)  # shards of 2
         handle = _sim_worker(coordinator)
         coordinator._assign_ready_shards()
         coordinator._handle_message(handle, (MSG_DONE, 0, "fp"))
         assert coordinator._shards[0].status == "leased"
 
     def test_shard_failing_on_distinct_workers_is_quarantined(self):
-        coordinator, clock = _sim_coordinator(
-            2, shard_size=2, max_shard_retries=2
-        )
+        coordinator, clock = _sim_coordinator(8, max_shard_retries=2)
         for _ in range(2):
             clock[0] += 1000.0
             handle = _sim_worker(coordinator)
@@ -220,7 +214,7 @@ class TestCoordinatorSimulated:
         assert "2 distinct worker(s)" in outcome.error
 
     def test_lease_expiry_is_attributed_hung(self):
-        coordinator, clock = _sim_coordinator(2, shard_size=2)
+        coordinator, clock = _sim_coordinator(8)
         handle = _sim_worker(coordinator)
         coordinator._assign_ready_shards()
         clock[0] = handle.deadline + 1.0
@@ -239,10 +233,14 @@ class TestCoordinatorSimulated:
         kills, duplicate deliveries, and backoff delays plays out, the
         delivered outcome for every task is the first (correct) one —
         so the batch fold, metrics, and telemetry cannot change."""
-        n = data.draw(st.integers(2, 12), label="tasks")
         shard_size = data.draw(st.integers(1, 4), label="shard_size")
+        n = data.draw(
+            st.integers(max(2, 4 * shard_size - 3), 4 * shard_size),
+            label="tasks",
+        )
         kill_budget = data.draw(st.integers(0, 5), label="kills")
-        coordinator, clock = _sim_coordinator(n, shard_size=shard_size)
+        coordinator, clock = _sim_coordinator(n)
+        assert len(coordinator._shards[0].pairs) == shard_size
         rounds = 0
         while not coordinator._finished():
             rounds += 1
@@ -299,17 +297,13 @@ class TestCoordinatorSimulated:
 # ----------------------------------------------------------------------
 # real worker processes
 # ----------------------------------------------------------------------
-def _run_grid(worker, tasks, fleet=None, **config):
+def _run_grid(worker, tasks, workers=1, **knobs):
     telemetry = Telemetry()
-    supervisor = BatchSupervisor(fail_fast=False)
+    supervisor = BatchSupervisor(fail_fast=False, **knobs)
     with using(telemetry):
-        if fleet:
-            with fleet_scope(FleetConfig(**config)):
-                report = run_batch_report(
-                    tasks, worker, supervisor=supervisor
-                )
-        else:
-            report = run_batch_report(tasks, worker, supervisor=supervisor)
+        report = run_batch_report(
+            tasks, worker, workers=workers, supervisor=supervisor
+        )
     canonical = canonical_dumps(
         [to_record(event) for event in telemetry.collect()]
     )
@@ -331,7 +325,6 @@ class TestFleetProcesses:
         report, fleet_canonical = _run_grid(
             sentinel_square,
             tasks,
-            fleet=True,
             workers=2,
             heartbeat_interval=0.05,
             lease_timeout=2.0,
@@ -351,7 +344,6 @@ class TestFleetProcesses:
         report, _ = _run_grid(
             sentinel_stopper,
             tasks,
-            fleet=True,
             workers=2,
             heartbeat_interval=0.05,
             lease_timeout=0.5,
@@ -364,20 +356,17 @@ class TestFleetProcesses:
         )
 
     def test_poisoned_shard_is_quarantined_never_dropped(self):
-        with fleet_scope(
-            FleetConfig(
-                workers=2,
+        report = run_batch_report(
+            list(range(6)),  # shards of 1 on two workers
+            poison_two,
+            workers=2,
+            supervisor=BatchSupervisor(
+                fail_fast=False,
                 heartbeat_interval=0.05,
                 lease_timeout=2.0,
                 max_shard_retries=2,
-                shard_size=1,
-            )
-        ):
-            report = run_batch_report(
-                list(range(6)),
-                poison_two,
-                supervisor=BatchSupervisor(fail_fast=False),
-            )
+            ),
+        )
         assert report.results == [0, 1, None, 3, 4, 5]
         assert report.quarantine.indices() == [2]
         entry = report.quarantine.entries[0]
@@ -386,33 +375,23 @@ class TestFleetProcesses:
         assert report.fleet.shards_quarantined == 1
 
     def test_fail_fast_aborts_on_quarantined_shard(self):
-        with fleet_scope(
-            FleetConfig(
+        with pytest.raises(BatchTaskError):
+            run_batch_report(
+                list(range(6)),  # shards of 1 on two workers
+                poison_two,
                 workers=2,
-                heartbeat_interval=0.05,
-                lease_timeout=2.0,
-                max_shard_retries=1,
-                shard_size=1,
+                supervisor=BatchSupervisor(
+                    fail_fast=True,
+                    heartbeat_interval=0.05,
+                    lease_timeout=2.0,
+                    max_shard_retries=1,
+                ),
             )
-        ):
-            with pytest.raises(BatchTaskError):
-                run_batch_report(
-                    list(range(6)),
-                    poison_two,
-                    supervisor=BatchSupervisor(fail_fast=True),
-                )
 
     def test_single_task_grids_skip_the_fleet(self):
-        with fleet_scope(FleetConfig(workers=4)):
-            report = run_batch_report([7], square)
+        report = run_batch_report([7], square, workers=4)
         assert report.results == [49]
         assert report.fleet is None
-
-    def test_ambient_scope_restores_on_exit(self):
-        assert ambient_fleet() is None
-        with fleet_scope(FleetConfig(workers=2)) as config:
-            assert ambient_fleet() is config
-        assert ambient_fleet() is None
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +408,7 @@ CHAOS_ARGS = [
     "--seed",
     "0",
 ]
-FLEET_ARGS = ["--fleet", "2", "--heartbeat-interval", "0.2"]
+FLEET_ARGS = ["--workers", "2", "--heartbeat-interval", "0.2"]
 
 
 def _run_cli(args, cwd, timeout=240):
@@ -519,11 +498,9 @@ class TestFleetCLI:
         if not killed_mid_run:
             pytest.skip("grid finished before the kill landed")
 
-        # the metrics table matches the serial reference exactly; the
-        # fleet section (pids, timings) is environment, printed after
-        assert resumed.stdout.startswith(
-            reference.stdout.rstrip("\n").split("\nfleet:")[0].rstrip("\n")
-        )
+        # the metrics table matches the serial reference exactly (the
+        # fleet's own report is environment and never reaches stdout)
+        assert resumed.stdout == reference.stdout
         ours = canonical_dumps(read_records(str(tmp_path / "out.jsonl")))
         theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
         assert ours == theirs
@@ -594,8 +571,7 @@ class TestFleetCLI:
             cwd=str(tmp_path),
         )
         assert fleet.returncode == 0, fleet.stderr
-        assert fleet.stdout.startswith(serial.stdout.rstrip("\n"))
-        assert "fleet: 2 worker slot(s)" in fleet.stdout
+        assert fleet.stdout == serial.stdout
 
         from repro.obs import canonical_dumps, read_records
 

@@ -2,6 +2,7 @@
 workers, quarantine, and the keep-going failure report."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -34,6 +35,14 @@ def sleepy(task):
     """Sleeps when the task is the sentinel; SIGALRM interrupts it."""
     if task == "sleep":
         time.sleep(10.0)
+    return task
+
+
+def stopper(task):
+    """SIGSTOPs its own worker (heartbeat thread included) whenever the
+    task is the sentinel — a hang no in-worker alarm can break."""
+    if task == "stop":
+        os.kill(os.getpid(), signal.SIGSTOP)
     return task
 
 
@@ -271,14 +280,21 @@ class TestTimeoutsAndRetries:
 
 class TestHungWorkers:
     def test_hung_worker_is_quarantined_and_grid_finishes(self):
-        """Parent-side hang detection: a worker that stops delivering
-        results within the hang deadline is declared hung and replaced;
-        the rest of the grid still completes."""
+        """Lease-based hang detection: a task that SIGSTOPs its worker
+        on every attempt stops the heartbeat, the lease expires, the
+        worker is killed and replaced, and after failing on
+        ``max_shard_retries`` distinct workers the task is quarantined
+        as hung; the rest of the grid still completes."""
         report = run_batch_report(
-            ["a", "sleep", "b", "c"],
-            sleepy,
+            ["a", "stop", "b", "c"],  # shards of 1 on two workers
+            stopper,
             workers=2,
-            supervisor=BatchSupervisor(hang_timeout=1.0, fail_fast=False),
+            supervisor=BatchSupervisor(
+                fail_fast=False,
+                heartbeat_interval=0.05,
+                lease_timeout=0.5,
+                max_shard_retries=2,
+            ),
         )
         assert report.results[0] == "a"
         assert report.results[2] == "b"
@@ -288,16 +304,8 @@ class TestHungWorkers:
         assert entry.index == 1
         assert entry.reason == REASON_HUNG
         assert "hung" in entry.error
-
-    def test_effective_hang_timeout_derivation(self):
-        assert BatchSupervisor().effective_hang_timeout() is None
-        assert BatchSupervisor(
-            task_timeout=2.0
-        ).effective_hang_timeout() == pytest.approx(11.0)
-        assert BatchSupervisor(
-            task_timeout=2.0, hang_timeout=3.0
-        ).effective_hang_timeout() == 3.0
-        assert BatchSupervisor(hang_timeout=0).effective_hang_timeout() is None
+        assert "2 distinct worker(s)" in entry.error
+        assert report.fleet.leases_expired >= 2
 
 
 class TestSeededJitter:

@@ -230,3 +230,36 @@ def test_workers_output_is_byte_identical(tmp_path, capsys):
     # the canonical-JSON contract: one compact sorted line
     assert serial == serial.strip() + "\n"
     assert '": ' not in serial
+
+
+def test_workers_output_is_byte_identical_over_a_mixed_tree(tmp_path, capsys):
+    """``lint --workers 2`` runs on the shared batch executor's fleet;
+    over a nested directory of every document kind — systems,
+    topologies, saved traces, invalid JSON, non-JSON files — and more
+    files than shards, its report is the serial report byte for byte."""
+    import shutil
+
+    for i, doc in enumerate(
+        [CLEAN_DOC, WARNING_DOC, ERROR_DOC, REFUTED_DOC, "{not json"]
+    ):
+        nested = tmp_path / f"inline{i % 2}" / f"d{i}"
+        nested.mkdir(parents=True)
+        (nested / f"doc{i}.json").write_text(doc, encoding="utf-8")
+    (tmp_path / "inline0" / "notes.txt").write_text("ignored")
+    for source in ("examples/lint", "tests/fixtures/legacy"):
+        target = tmp_path / source.replace("/", "_")
+        target.mkdir()
+        for path in sorted((REPO / source).glob("*.json")):
+            shutil.copy(path, target / path.name)
+    files = sorted(tmp_path.rglob("*.json"))
+    assert len(files) > 8  # more files than shards: shards hold several
+
+    code = main(["lint", str(tmp_path), "--format", "json", "--workers", "1"])
+    serial = capsys.readouterr().out
+    assert code == 2  # the error and refuted documents
+    assert main(
+        ["lint", str(tmp_path), "--format", "json", "--workers", "2"]
+    ) == code
+    assert capsys.readouterr().out == serial
+    payload = json.loads(serial)
+    assert len(payload["files"]) == len(files)

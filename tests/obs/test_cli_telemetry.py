@@ -120,5 +120,7 @@ class TestWorkerDeterminism:
         ) == 0
         streams = {r["stream"] for r in read_records(out)}
         # 2 protocols x 2 runs = 4 task streams, plus the main stream
-        assert streams == {"main", "task0000", "task0001", "task0002",
-                          "task0003"}
+        # and the fleet's coordination stream (environment, dropped by
+        # canonical_dumps)
+        assert streams == {"main", "fleet", "task0000", "task0001",
+                          "task0002", "task0003"}
