@@ -4,8 +4,9 @@ This package turns the batch Def.-16 reduction into a service that
 watches an execution *as it happens*:
 
 - :mod:`repro.stream.assembler` folds the typed event log of
-  :mod:`repro.io.eventlog` into the committed composite system after
-  every commit, replaying the activated declarations in log order;
+  :mod:`repro.io.eventlog` into the committed composite system, kept
+  live across commits: each commit is applied as a delta to the
+  schedules' closed orders;
 - :mod:`repro.stream.checker` maintains the level-0 observed order
   incrementally across commits and re-runs the reduction with the
   maintained front injected, emitting a live verdict that flips to

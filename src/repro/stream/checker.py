@@ -18,10 +18,15 @@ it into :meth:`~repro.core.reduction.ReductionEngine.run` via
 ``level0=`` instead of re-closing the leaf order from scratch on every
 commit.  Higher levels re-run per commit — they are small (node counts
 shrink as the reduction climbs) and their carried-closure path is
-already incremental within a run.  Per-commit *assembly* is not:
-``_recheck`` rebuilds the committed system with
-:meth:`~repro.stream.assembler.StreamAssembler.build`, the same
-byte-pinned path ``finalize`` uses.
+already incremental within a run.  Per-commit *assembly* is a delta
+too: :meth:`~repro.stream.assembler.StreamAssembler.system` folds the
+commit into the live committed system (activating only what the commit
+releases, propagating only the closed pairs it adds) and rebuilds the
+changed schedules from their maintained closures.  That work is timed
+by a ``stream.assemble`` span inside each ``stream.ingest`` span, with
+the counts of activated declarations and propagated pairs, so
+``profile`` splits commit time into assembly and reduction.
+``finalize`` certifies the same live system.
 
 The checker is also *resumable*: :meth:`IncrementalChecker.snapshot_state`
 / :meth:`IncrementalChecker.restore_state` round-trip its entire state
@@ -221,9 +226,16 @@ class IncrementalChecker:
 
     # ------------------------------------------------------------------
     def _recheck(self, span: Span) -> None:
-        recorded = self.assembler.build()
-        assert recorded is not None  # a commit just landed
-        system = recorded.system
+        with self.telemetry.span("stream.assemble") as assemble:
+            system = self.assembler.system()
+            stats = self.assembler.last_stats
+            assemble.note(
+                activated=stats.activated,
+                propagated=stats.propagated,
+                schedules=stats.schedules,
+                rebuilt=stats.rebuilt,
+            )
+        assert system is not None  # a commit just landed
         new_leaves = [
             leaf for leaf in system.leaves if leaf not in self._known_leaves
         ]
