@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.schedule import Schedule
+from repro.core.orders import Relation
+from repro.core.schedule import ConflictIndex, Schedule
 from repro.core.transaction import Transaction
 from repro.exceptions import CycleError, ModelError, ScheduleAxiomError
 
@@ -222,6 +223,82 @@ class TestFromSequence:
             Schedule.from_sequence(
                 "S", [t("T1", ["a"])], ["a"], conflicts=[("a", "zzz")]
             )
+
+
+def closed(elements, pairs=()):
+    relation = Relation(elements=elements)
+    relation.add_all(pairs)
+    return relation.transitive_closure()
+
+
+def conflict_index(*pairs):
+    index = ConflictIndex()
+    for a, b in pairs:
+        index.add(a, b)
+    return index
+
+
+class TestFromClosed:
+    TXNS = [t("T1", ["a", "b"], weak_order=[("a", "b")]), t("T2", ["c"])]
+
+    def adopt(self, conflicts=(), weak_input=(), weak_output=(), **closed_orders):
+        orders = dict(
+            weak_input=closed(("T1", "T2"), weak_input),
+            strong_input=closed(("T1", "T2")),
+            weak_output=closed(("a", "b", "c"), weak_output),
+            strong_output=closed(("a", "b", "c")),
+        )
+        orders.update(closed_orders)
+        return Schedule.from_closed(
+            "S", self.TXNS, conflicts=conflict_index(*conflicts), **orders
+        )
+
+    def test_equals_the_constructor(self):
+        pairs = [("a", "b"), ("b", "c")]
+        built = Schedule(
+            "S",
+            self.TXNS,
+            conflicts=[("b", "c")],
+            weak_input=[("T1", "T2")],
+            weak_output=pairs,
+        )
+        adopted = self.adopt(
+            conflicts=[("b", "c")], weak_input=[("T1", "T2")], weak_output=pairs
+        )
+        assert adopted.transaction_names == built.transaction_names
+        assert adopted.operations == built.operations
+        assert adopted.conflicts == built.conflicts
+        for name in ("weak_input", "strong_input", "weak_output", "strong_output"):
+            mine, theirs = getattr(adopted, name), getattr(built, name)
+            assert mine.elements == theirs.elements
+            assert sorted(mine.pairs()) == sorted(theirs.pairs())
+        assert adopted.conflicting("c", "b")
+
+    def test_carrier_out_of_declaration_order_rejected(self):
+        with pytest.raises(ModelError, match="strong input order"):
+            self.adopt(strong_input=closed(("T2", "T1")))
+        with pytest.raises(ModelError, match="strong output order"):
+            self.adopt(strong_output=closed(("a", "b")))
+
+    def test_conflict_on_foreign_op_rejected(self):
+        with pytest.raises(ModelError, match="'zzz'"):
+            self.adopt(conflicts=[("a", "zzz")])
+
+    def test_cycle_witness_matches_the_constructor(self):
+        cyclic = [("a", "b"), ("b", "c"), ("c", "a")]
+        with pytest.raises(CycleError) as built:
+            Schedule("S", self.TXNS, weak_output=cyclic, validate=False)
+        with pytest.raises(CycleError) as adopted:
+            self.adopt(weak_output=cyclic)
+        assert str(adopted.value) == str(built.value)
+        assert adopted.value.cycle == built.value.cycle
+
+    def test_axioms_are_not_validated(self):
+        # T1's intra order a < b is missing from the weak output: axiom
+        # 2a, which the constructor validates.
+        with pytest.raises(ScheduleAxiomError):
+            Schedule("S", self.TXNS)
+        self.adopt()
 
 
 class TestConflictConsistency:
